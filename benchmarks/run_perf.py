@@ -34,8 +34,10 @@ cost the store is built to eliminate.
 
 Results land in ``BENCH_perf.json``; ``--check-baseline`` compares the
 "after" total against ``benchmarks/BENCH_baseline.json``, exits
-non-zero on a >30 % regression, and enforces each workload's minimum
-speedup (the characterization workloads must stay >= 5x).
+non-zero on a >30 % regression or on any workload whose
+``output_digest`` differs from the committed one, and enforces each
+workload's minimum speedup (the characterization workloads must stay
+>= 5x).
 ``--check-warm COLD.json`` is the CI warm-cache gate: run the suite
 twice with ``REPRO_CACHE_DIR`` set, pass the first (cold) report to the
 second run, and it asserts every ``full_study_*`` workload warm-started
@@ -814,8 +816,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default="BENCH_perf.json",
                     help="where to write the JSON report")
     ap.add_argument("--check-baseline", action="store_true",
-                    help="fail on >30%% regression vs BENCH_baseline.json "
-                         "or a missed per-workload minimum speedup")
+                    help="fail on >30%% regression vs BENCH_baseline.json, "
+                         "an output_digest differing from it, or a missed "
+                         "per-workload minimum speedup")
     ap.add_argument("--check-warm", metavar="COLD_JSON",
                     help="assert this run warm-started full_study_* from "
                          "the persistent store: after_s <= cold/5, disk "
@@ -889,6 +892,14 @@ def main(argv: list[str] | None = None) -> int:
                 failed = True
         baseline_path = Path(__file__).parent / "BENCH_baseline.json"
         baseline = json.loads(baseline_path.read_text())
+        # The committed digests are the output contract: an optimization
+        # must reproduce every workload's canonical summary bit for bit.
+        for name, want in sorted(baseline["output_digest"].items()):
+            got_digest = report["output_digest"].get(name)
+            if got_digest != want:
+                print(f"output regression: {name} output_digest "
+                      f"{got_digest} != baseline {want}", file=sys.stderr)
+                failed = True
         allowed = baseline["total"]["after_s"] * REGRESSION_TOLERANCE
         got = report["total"]["after_s"]
         print(f"baseline after_s={baseline['total']['after_s']:.3f} "

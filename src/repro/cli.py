@@ -166,8 +166,19 @@ def cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_model(path: str) -> IOModel:
+    """``IOModel.load`` for ``--model``: an unreadable file is a usage
+    error (argparse's message format, exit 2), not a traceback."""
+    try:
+        return IOModel.load(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"repro-io: error: cannot read model {path}: {exc}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
-    model = IOModel.load(args.model)
+    model = _load_model(args.model)
     factory = _factory_for(args.config)
     report = estimate_on(model, factory, config_name=args.config)
     print(f"I/O time estimation of {model.app_name} on {args.config} (eqs. 1-2):")
@@ -192,7 +203,7 @@ def cmd_usage(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    model = IOModel.load(args.model)
+    model = _load_model(args.model)
     factories = {name: _factory_for(name) for name in args.configs.split(",")}
     executor = args.executor
     if executor == "cluster" and args.workers:
@@ -215,7 +226,7 @@ def cmd_degraded(args: argparse.Namespace) -> int:
     """Worst-case selection: rank configurations with disks failed."""
     from repro.faults import degraded as deg
 
-    model = IOModel.load(args.model)
+    model = _load_model(args.model)
     factories = {name: _factory_for(name) for name in args.configs.split(",")}
     choice = deg.worst_case_selection(model.phases, factories,
                                       rebuild=args.rebuild)
@@ -241,7 +252,7 @@ def cmd_degraded(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    model = IOModel.load(args.model)
+    model = _load_model(args.model)
     factory = _factory_for(args.config)
     replayed, bundle = replay_model(model, platform=factory())
     print(f"replayed {model.app_name} (synthesized, np={model.np}) "
@@ -256,7 +267,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_signatures(args: argparse.Namespace) -> int:
-    model = IOModel.load(args.model)
+    model = _load_model(args.model)
     sigs = classify_model(model)
     print(f"I/O signatures of {model.app_name} (Byna-style taxonomy):")
     for ph in model.phases:

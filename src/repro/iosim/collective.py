@@ -86,7 +86,8 @@ def two_phase_io(
     # files, so nothing can be merged across them -- each rank's access
     # is issued independently (concurrently) from its own node, and the
     # collective completes when the slowest one does.
-    if any(r.unique_file for r in reqs) or len({r.file_id for r in reqs}) > 1:
+    file_id = reqs[0].file_id if reqs else None
+    if any(r.unique_file or r.file_id != file_id for r in reqs):
         end = start
         for req, client in zip(reqs, clients):
             if not req.runs:
@@ -102,7 +103,6 @@ def two_phase_io(
     if total == 0:
         return start
     kind = reqs[0].kind
-    file_id = reqs[0].file_id
 
     distinct_nodes: list[ComputeNode] = []
     seen = set()

@@ -74,18 +74,22 @@ class Disk:
                           "addressed while dead")
                 raise DiskFailure(self.name, since)
             slow = fp.slow_factor(self.name, start)
-        bw = self.spec.seq_write_bw if kind == "write" else self.spec.seq_read_bw
-        cost = self.spec.op_overhead_ms / 1e3 + nbytes / (bw * MB)
-        seek_s = (self.spec.seek_ms + self.spec.rotational_ms) / 1e3
+        spec = self.spec
+        bw = spec.seq_write_bw if kind == "write" else spec.seq_read_bw
+        cost = spec.op_overhead_ms / 1e3 + nbytes / (bw * MB)
+        seek_s = (spec.seek_ms + spec.rotational_ms) / 1e3
         # Near-sequential accesses (short same-track skips, e.g. journal
         # padding) do not pay a full seek.
-        near = max(64 * 1024, nbytes // 4)
-        if self._head is None or abs(offset - self._head) > near:
+        head = self._head
+        if head is None or (abs(offset - head) > 64 * 1024
+                            and abs(offset - head) > nbytes // 4):
             cost += seek_s
-        cost += max(0, fragments - 1) * seek_s
-        # A fail-slow disk serves everything -- positioning included --
-        # at a fraction of its healthy rate.
-        cost *= slow
+        if fragments > 1:  # "+= 0.0" would leave the cost as it is
+            cost += (fragments - 1) * seek_s
+        if slow != 1.0:
+            # A fail-slow disk serves everything -- positioning included
+            # -- at a fraction of its healthy rate.
+            cost *= slow
         self._head = offset + nbytes
         begin, end = self.resource.acquire(start, cost)
         if self.monitor is not None:

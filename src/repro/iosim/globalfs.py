@@ -24,7 +24,7 @@ without influence of other components").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .device import MB
 from .nodes import ComputeNode, IONode
@@ -41,10 +41,10 @@ class Access:
     runs: list[Run]
     kind: str  # "write" | "read"
     file_id: int = 0
+    nbytes: int = field(init=False, repr=False)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(length for _, length in self.runs)
+    def __post_init__(self) -> None:
+        self.nbytes = sum(length for _, length in self.runs)
 
 
 def stripe_shares(offset: int, length: int, stripe_bytes: int, n: int) -> list[int]:

@@ -52,17 +52,20 @@ class LocalFS:
         """Service one contiguous access; returns its completion time."""
         if nbytes <= 0:
             return start
-        t = start + self.spec.op_latency_ms / 1e3
+        spec = self.spec
+        t = start + spec.op_latency_ms / 1e3
         if kind == "write":
-            volume_bytes = int(nbytes * (1.0 + self.spec.journal_write_overhead))
-            vol_end = self.volume.transfer(t, offset, volume_bytes, "write", locator,
-                                           fragments=fragments)
-            if self.cache_mb > 0:
+            volume = self.volume
+            volume_bytes = int(nbytes * (1.0 + spec.journal_write_overhead))
+            vol_end = volume.transfer(t, offset, volume_bytes, "write", locator,
+                                      fragments)
+            cache_bytes = self.cache_mb * MB
+            if cache_bytes > 0:
                 backlog_s = vol_end - start
-                drain_bw = self.volume.peak_bw("write") * MB
-                cache_s = self.cache_mb * MB / drain_bw
-                mem_end = t + nbytes / (self.spec.memory_bw_mb_s * MB)
-                if backlog_s * drain_bw <= self.cache_mb * MB:
+                drain_bw = volume.peak_bw("write") * MB
+                cache_s = cache_bytes / drain_bw
+                mem_end = t + nbytes / (spec.memory_bw_mb_s * MB)
+                if backlog_s * drain_bw <= cache_bytes:
                     # Absorbed by the page cache: ack at memory speed.
                     return mem_end
                 # Cache full: the writer blocks until there is room again

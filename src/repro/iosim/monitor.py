@@ -28,6 +28,10 @@ class TransferSample(NamedTuple):
     kind: str  # "write" | "read"
 
 
+#: Builds a TransferSample without the generated ``__new__`` frame.
+_new_sample = tuple.__new__
+
+
 @dataclass
 class BucketRow:
     """One row of the iostat-like report: a 1-second (by default) bucket."""
@@ -53,7 +57,8 @@ class DeviceMonitor:
     samples: list[TransferSample] = field(default_factory=list)
 
     def record(self, device: str, begin: float, end: float, nbytes: int, kind: str) -> None:
-        self.samples.append(TransferSample(device, begin, end, nbytes, kind))
+        self.samples.append(_new_sample(TransferSample,
+                                        (device, begin, end, nbytes, kind)))
         # The monitor doubles as the device-level feed of the metrics
         # registry: consumers read device totals from ``repro.obs``
         # counters instead of poking at the private sample list.

@@ -69,6 +69,9 @@ class Volume:
         self.name = name
         self.disks = disks
         self._failed: set[int] = set()
+        # peak_bw memo per kind: every method that changes the static
+        # degraded state (fail/restore, start/finish rebuild) clears it.
+        self._peak: dict[str, float] = {}
 
     # -- degraded-state management ------------------------------------------------
     @property
@@ -87,17 +90,19 @@ class Volume:
                 f"volume {self.name!r} has {len(self.disks)} members; "
                 f"cannot fail member {index}")
         self._failed.add(index)
+        self._peak.clear()
 
     def restore_disk(self, index: int) -> None:
         """Bring a failed member back (after a rebuild completed)."""
         self._failed.discard(index)
+        self._peak.clear()
 
     def _dead_at(self, t: float) -> set[int]:
-        """Failed members at virtual time ``t``: static + plan-driven."""
-        dead = set(self._failed)
+        """Failed members at virtual time ``t``: static + plan-driven
+        (read-only: without a plan it is the static set itself)."""
         if faults.ACTIVE:
-            dead |= faults.plan().failed_members(self.disks, t)
-        return dead
+            return self._failed | faults.plan().failed_members(self.disks, t)
+        return self._failed
 
     def _survivors(self) -> list[Disk]:
         """Statically alive members (for peak_bw/capacity)."""
@@ -117,6 +122,12 @@ class Volume:
 
     def peak_bw(self, kind: str) -> float:
         """Best-case streaming MB/s of the volume (degraded-aware)."""
+        bw = self._peak.get(kind)
+        if bw is None:
+            bw = self._peak[kind] = self._peak_bw(kind)
+        return bw
+
+    def _peak_bw(self, kind: str) -> float:
         raise NotImplementedError
 
     @property
@@ -128,6 +139,7 @@ class Volume:
         survives resets (a dead disk stays dead between experiments)."""
         for d in self.disks:
             d.reset()
+        self._peak.clear()
 
     def fingerprint(self) -> tuple:
         """Level + stripe size + member fingerprints + degraded state.
@@ -166,7 +178,7 @@ class JBOD(Volume):
         return self.disks[i].transfer(start, offset, nbytes, kind,
                                       fragments=fragments)
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         survivors = self._survivors()
         if not survivors:
             raise DataLossError(self.name, "all members failed")
@@ -201,7 +213,7 @@ class RAID0(Volume):
                               fragments=fragments)
                    for d in self.disks)
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         self._check_tolerance(self._failed)
         return sum(d.peak_bw(kind) for d in self.disks)
 
@@ -237,7 +249,7 @@ class RAID1(Volume):
                               fragments=fragments)
                    for d in alive)
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         survivors = self._survivors()
         if not survivors:
             raise DataLossError(self.name, "every mirror failed")
@@ -274,10 +286,12 @@ class _ParityVolume(Volume):
                 raise ValueError("rebuild overhead must be >= 0")
             self.rebuild_overhead = overhead
         self.rebuilding = True
+        self._peak.clear()
 
     def finish_rebuild(self, restored_member: int | None = None) -> None:
         """Leave rebuild mode; optionally restore the rebuilt member."""
         self.rebuilding = False
+        self._peak.clear()
         if restored_member is not None:
             self.restore_disk(restored_member)
 
@@ -342,42 +356,44 @@ class RAID5(_ParityVolume):
 
     def transfer(self, start: float, offset: int, nbytes: int, kind: str,
                  locator: int = 0, fragments: int = 1) -> float:
-        n = len(self.disks)
-        member_off = offset // self._data_disks
+        disks = self.disks
+        n = len(disks)
+        data_disks = self._data_disks
+        member_off = offset // data_disks
         dead = self._dead_at(start)
-        self._check_tolerance(dead)
+        if dead:
+            self._check_tolerance(dead)
         if kind == "read":
             if dead:
                 return self._degraded_read(start, member_off, nbytes, dead,
                                            fragments)
-            per_disk = nbytes / self._data_disks
-            return max(d.transfer(start, member_off, max(1, int(per_disk)),
-                                  "read", fragments=fragments)
-                       for d in self.disks[:-1])
+            per_disk = max(1, int(nbytes / data_disks))
+            return max([d.transfer(start, member_off, per_disk, "read",
+                                   fragments)
+                        for d in disks[:-1]])
         if nbytes >= self.full_stripe_bytes:
             # Full-stripe write: parity computed in memory, each member
             # (including the parity position) writes its share; a dead
             # member's share is simply dropped (rebuilt later).
-            per_disk = nbytes / self._data_disks
-            return max(d.transfer(start, member_off,
-                                  self._inflate(per_disk), "write",
-                                  fragments=fragments)
-                       for i, d in enumerate(self.disks) if i not in dead)
+            share = self._inflate(nbytes / data_disks)
+            return max([d.transfer(start, member_off, share, "write",
+                                   fragments)
+                        for i, d in enumerate(disks) if i not in dead])
         # Read-modify-write: old data + old parity read, new data + parity
         # written -- modelled as doubled traffic on two members.
         data_i, parity_i = locator % n, (locator + 1) % n
         if dead and (data_i in dead or parity_i in dead):
             return self._degraded_rmw(start, member_off, nbytes,
                                       [data_i, parity_i], dead)
+        rb = self._inflate(nbytes)
         end = start
         for i in (data_i, parity_i):
-            d = self.disks[i]
-            e1 = d.transfer(start, member_off, self._inflate(nbytes), "read")
-            e2 = d.transfer(e1, member_off, self._inflate(nbytes), "write")
-            end = max(end, e2)
+            d = disks[i]
+            e1 = d.transfer(start, member_off, rb, "read")
+            end = max(end, d.transfer(e1, member_off, rb, "write"))
         return end
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         self._check_tolerance(self._failed)
         per = self.disks[0].peak_bw(kind)
         if self._failed and kind == "read":
@@ -448,7 +464,7 @@ class RAID6(_ParityVolume):
             end = max(end, e2)
         return end
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         self._check_tolerance(self._failed)
         per = self.disks[0].peak_bw(kind)
         if self._failed and kind == "read":
@@ -508,7 +524,7 @@ class RAID10(Volume):
                               fragments=fragments)
                    for d in alive)
 
-    def peak_bw(self, kind: str) -> float:
+    def _peak_bw(self, kind: str) -> float:
         self._check_pairs(self._failed)
         per = self.disks[0].peak_bw(kind)
         if kind == "write":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro import obs
 
 
-@dataclass
+@dataclass(slots=True)
 class Resource:
     """A serially-reusable component with FCFS queueing in virtual time."""
 
@@ -33,7 +33,8 @@ class Resource:
         """
         if cost < 0:
             raise ValueError(f"resource cost must be >= 0, got {cost}")
-        begin = max(start, self.next_free)
+        next_free = self.next_free
+        begin = next_free if next_free > start else start  # max(), inlined
         end = begin + cost
         self.next_free = end
         self.busy_time += cost

@@ -41,7 +41,6 @@ import heapq
 import inspect
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Callable, Generator, Protocol, Sequence
 
 from repro import obs
@@ -81,13 +80,12 @@ class IORequest:
     start: float
     collective: bool = False
     unique_file: bool = False
+    nbytes: int = field(init=False, repr=False)
 
-    @cached_property
-    def nbytes(self) -> int:
+    def __post_init__(self) -> None:
         # ``runs`` is fixed at construction (only ``start`` is mutated at
-        # service time), so the sum is computed once -- this property sits
-        # on the scheduler and platform hot paths.
-        return sum(length for _, length in self.runs)
+        # service time), so the byte count is computed once, eagerly.
+        self.nbytes = sum(length for _, length in self.runs)
 
 
 class Platform(Protocol):
@@ -153,17 +151,9 @@ class _RankState:
 class _Collective:
     """An in-flight collective instance on one communicator."""
 
-    comm_key: tuple
-    index: int
     op: str
     expected: frozenset[int]
     arrived: dict[int, Any] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        # Arrivals are membership-checked and at most one per rank per
-        # index, so counting replaces the per-arrival set comparison.
-        return len(self.arrived) == len(self.expected)
 
 
 class Comm:
@@ -348,6 +338,7 @@ class Engine:
         # per step instead of an O(n) scan.
         heap: list[tuple[float, int]] = []
         heappush, heappop = heapq.heappush, heapq.heappop
+        heappushpop = heapq.heappushpop
         self._woken = heap
         for st in states:
             gens[st.rank] = program(CoroContext(self, st.rank), *args)
@@ -355,11 +346,17 @@ class Engine:
             st.op_result = None
             heappush(heap, (st.clock, st.rank))
         n_done = 0
+        # A rank that just posted an op was the minimum when it was popped
+        # and nothing was enqueued while it ran, so it goes back through
+        # heappushpop: one comparison hands it straight back.
+        handoff = None
         try:
             while True:
                 st = None
-                while heap:
-                    clock, rank = heappop(heap)
+                while heap or handoff:
+                    clock, rank = (heappushpop(heap, handoff) if handoff
+                                   else heappop(heap))
+                    handoff = None
                     cand = states[rank]
                     status = cand.status
                     if ((status is _WAITING_SCHED
@@ -401,7 +398,7 @@ class Engine:
                 else:
                     st.pending = op
                     st.status = _WAITING_SCHED
-                    heappush(heap, (st.clock, st.rank))
+                    handoff = (st.clock, st.rank)
         finally:
             self._woken = None
             for st in states:
@@ -580,60 +577,62 @@ class Engine:
     # -- collectives ---------------------------------------------------------------
     def _arrive_collective(self, st: _RankState, op: Any) -> None:
         comm: Comm = op["comm"]
-        if st.rank not in comm:
+        rank = st.rank
+        if rank not in comm._members:
             st.op_result = MPIUsageError(
-                f"rank {st.rank} called a collective on {comm!r} it does not belong to"
+                f"rank {rank} called a collective on {comm!r} it does not belong to"
             )
             self._wake(st)
             return
-        count_key = (comm.cid, st.rank)
+        count_key = (comm.cid, rank)
         index = self._coll_counts.get(count_key, 0)
         self._coll_counts[count_key] = index + 1
         key = (comm.cid, index)
+        name = op["name"]
         coll = self._collectives.get(key)
         if coll is None:
-            coll = _Collective(
-                comm_key=(comm.cid,),
-                index=index,
-                op=op["name"],
-                expected=frozenset(comm.world_ranks),
-            )
-            self._collectives[key] = coll
-        if coll.op != op["name"]:
+            coll = self._collectives[key] = _Collective(name, comm._members)
+        elif coll.op != name:
             err = CollectiveMismatch(
-                f"collective #{index} on {comm!r}: rank {st.rank} called "
-                f"{op['name']!r} but peers called {coll.op!r}"
+                f"collective #{index} on {comm!r}: rank {rank} called "
+                f"{name!r} but peers called {coll.op!r}"
             )
             # Fail everyone involved to unblock the run.
             st.op_result = err
             self._wake(st)
-            for r, arr in coll.arrived.items():
+            for r in coll.arrived:
                 peer = self._states[r]
                 peer.op_result = err
                 self._wake(peer)
             del self._collectives[key]
             return
-        coll.arrived[st.rank] = op
+        arrived = coll.arrived
+        arrived[rank] = op
         st.status = _IN_COLLECTIVE
-        if coll.complete:
-            self._finalize_collective(key, coll)
+        # Arrivals are membership-checked and at most one per rank per
+        # index, so counting replaces a set comparison.
+        if len(arrived) == len(coll.expected):
+            del self._collectives[key]
+            self._finalize_collective(coll)
 
-    def _finalize_collective(self, key: tuple, coll: _Collective) -> None:
-        del self._collectives[key]
-        parts = [self._states[r] for r in sorted(coll.arrived)]
-        t0 = max(p.clock for p in parts)
+    def _finalize_collective(self, coll: _Collective) -> None:
         ops = coll.arrived
-        sample = ops[parts[0].rank]
-        finalize = sample["finalize"]
+        states = self._states
+        parts = [states[r] for r in sorted(ops)]
+        t0 = max([p.clock for p in parts])
         # finalize(start, {rank: op}) -> ({rank: duration}, {rank: result})
-        durations, results = finalize(t0, ops)
+        durations, results = ops[parts[0].rank]["finalize"](t0, ops)
         if obs.ACTIVE:
             obs.observe_collective(coll.op, t0, durations)
+        woken = self._woken
         for p in parts:
-            p.clock = t0 + durations.get(p.rank, 0.0)
-            p.tick += ops[p.rank].get("ticks", 1)
-            p.op_result = results.get(p.rank)
-            self._wake(p)
+            rank = p.rank
+            p.clock = clock = t0 + durations.get(rank, 0.0)
+            p.tick += ops[rank].get("ticks", 1)
+            p.op_result = results.get(rank)
+            p.status = _WAITING_RESUME  # _wake, inlined
+            if woken is not None:
+                heapq.heappush(woken, (clock, rank))
 
 
 class _AbortRun(BaseException):

@@ -33,7 +33,7 @@ the view-mapped absolute byte runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, NamedTuple
 
 from .datatypes import BYTE, Datatype, FileView
 from .engine import Comm, Engine, IORequest, drive_blocking
@@ -58,9 +58,12 @@ OP_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class IOEvent:
-    """One traced I/O operation -- the row format of the paper's Fig. 2."""
+class IOEvent(NamedTuple):
+    """One traced I/O operation -- the row format of the paper's Fig. 2.
+
+    An immutable NamedTuple, cheap to build: one is built per simulated
+    MPI-IO call, on the simulator's hot path.
+    """
 
     rank: int  # idP
     file_id: int  # idF
@@ -75,6 +78,10 @@ class IOEvent:
     kind: str  # "write" | "read"
     collective: bool
     unique_file: bool
+
+
+#: Builds an IOEvent without the generated ``__new__`` frame.
+_new_event = tuple.__new__
 
 
 @dataclass
@@ -136,6 +143,8 @@ class _FileHandleCore:
         self.view = FileView()
         self.individual_pointer = 0
         self.closed = False
+        # Placement is fixed for the run: resolved once per handle.
+        self._node = engine.platform.node_of_rank(ctx.rank, engine.nprocs)
 
     # -- open / close --------------------------------------------------------------
     @classmethod
@@ -191,10 +200,10 @@ class _FileHandleCore:
 
     # -- explicit offset ----------------------------------------------------------------
     def _g_write_at(self, offset: int, nbytes: int) -> Generator:
-        return (yield from self._g_independent_io("write", "explicit", offset, nbytes))
+        return self._g_independent_io("write", "explicit", offset, nbytes)
 
     def _g_read_at(self, offset: int, nbytes: int) -> Generator:
-        return (yield from self._g_independent_io("read", "explicit", offset, nbytes))
+        return self._g_independent_io("read", "explicit", offset, nbytes)
 
     def _g_iwrite_at(self, offset: int, nbytes: int) -> Generator:
         """``MPI_File_iwrite_at``: starts the write, returns a handle.
@@ -204,17 +213,17 @@ class _FileHandleCore:
         advance until the handle's ``wait`` -- modelling computation/I/O
         overlap.
         """
-        return (yield from self._g_nonblocking_io("write", offset, nbytes))
+        return self._g_nonblocking_io("write", offset, nbytes)
 
     def _g_iread_at(self, offset: int, nbytes: int) -> Generator:
         """``MPI_File_iread_at``: see ``iwrite_at``."""
-        return (yield from self._g_nonblocking_io("read", offset, nbytes))
+        return self._g_nonblocking_io("read", offset, nbytes)
 
     def _g_write_at_all(self, offset: int, nbytes: int) -> Generator:
-        return (yield from self._g_collective_io("write", "explicit", offset, nbytes))
+        return self._g_collective_io("write", "explicit", offset, nbytes)
 
     def _g_read_at_all(self, offset: int, nbytes: int) -> Generator:
-        return (yield from self._g_collective_io("read", "explicit", offset, nbytes))
+        return self._g_collective_io("read", "explicit", offset, nbytes)
 
     # -- individual pointer ----------------------------------------------------------------
     def _g_seek(self, offset: int, whence: str = "set") -> Generator:
@@ -256,10 +265,10 @@ class _FileHandleCore:
 
     # -- shared pointer ----------------------------------------------------------------------
     def _g_write_shared(self, nbytes: int) -> Generator:
-        return (yield from self._g_shared_io("write", nbytes))
+        return self._g_shared_io("write", nbytes)
 
     def _g_read_shared(self, nbytes: int) -> Generator:
-        return (yield from self._g_shared_io("read", nbytes))
+        return self._g_shared_io("read", nbytes)
 
     # -- internals ----------------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -303,7 +312,7 @@ class _FileHandleCore:
         runs = self.view.map_range(offset * self.view.etype.size, nbytes)
         return IORequest(
             rank=self._ctx.rank,
-            node=self._engine.platform.node_of_rank(self._ctx.rank, self._engine.nprocs),
+            node=self._node,
             filename=self.file.name,
             file_id=self.file.file_id,
             kind=kind,
@@ -316,22 +325,11 @@ class _FileHandleCore:
     def _emit(self, kind: str, addressing: str, collective: bool, offset: int,
               nbytes: int, start: float, duration: float, tick: int,
               abs_offset: int) -> None:
-        event = IOEvent(
-            rank=self._ctx.rank,
-            file_id=self.file.file_id,
-            filename=self.file.name,
-            op=OP_NAMES[(kind, addressing, collective)],
-            offset=offset,
-            abs_offset=abs_offset,
-            tick=tick,
-            request_size=nbytes,
-            time=start,
-            duration=duration,
-            kind=kind,
-            collective=collective,
-            unique_file=self.file.unique,
-        )
-        self._engine.emit_io_event(event)
+        f = self.file
+        self._engine.emit_io_event(_new_event(IOEvent, (
+            self._ctx.rank, f.file_id, f.name,
+            OP_NAMES[(kind, addressing, collective)], offset, abs_offset, tick,
+            nbytes, start, duration, kind, collective, f.unique)))
 
     def _g_independent_io(self, kind: str, addressing: str, offset: int,
                           nbytes: int) -> Generator:
@@ -362,30 +360,33 @@ class _FileHandleCore:
         req = self._build_request(kind, offset, nbytes, collective=True)
         engine = self._engine
         simfile = self.file
-        handle = self
 
         def finalize(t0: float, ops: dict[int, Any]):
+            peers = [ops[r] for r in sorted(ops)]
             reqs = []
-            for r in sorted(ops):
-                peer_req: IORequest = ops[r]["req"]
+            for peer in peers:
+                peer_req: IORequest = peer["req"]
                 peer_req.start = t0
                 reqs.append(peer_req)
             durations = engine.platform.service_collective_io(reqs, t0)
-            for r in sorted(ops):
-                peer_req = ops[r]["req"]
-                if kind == "write" and peer_req.runs:
-                    simfile.grow(peer_req.runs[-1][0] + peer_req.runs[-1][1])
-                peer_handle: _FileHandleCore = ops[r]["handle"]
-                tick = engine._states[r].tick + 1
-                abs_off = peer_req.runs[0][0] if peer_req.runs else 0
-                peer_handle._emit(kind, addressing, True, ops[r]["view_offset"],
-                                  ops[r]["nbytes"], t0, durations[r], tick, abs_off)
-            return durations, {r: None for r in ops}
+            states = engine._states
+            for peer, peer_req in zip(peers, reqs):
+                runs = peer_req.runs
+                if kind == "write" and runs:
+                    simfile.grow(runs[-1][0] + runs[-1][1])
+                r = peer_req.rank
+                peer["handle"]._emit(kind, addressing, True, peer["view_offset"],
+                                     peer["nbytes"], t0, durations[r],
+                                     states[r].tick + 1,
+                                     runs[0][0] if runs else 0)
+            return durations, dict.fromkeys(ops)
 
-        name = OP_NAMES[(kind, addressing, True)]
-        yield from self._ctx._g_collective(name, self.comm, finalize, req=req,
-                                           handle=handle, view_offset=offset,
-                                           nbytes=nbytes)
+        # The op dict _ContextCore._g_collective would yield, built here
+        # to save a generator level on every resume.
+        yield {"kind": "collective", "name": OP_NAMES[(kind, addressing, True)],
+               "comm": self.comm, "ticks": 1, "payload": None,
+               "finalize": finalize, "req": req, "handle": self,
+               "view_offset": offset, "nbytes": nbytes}
 
     def _g_nonblocking_io(self, kind: str, offset: int,
                           nbytes: int) -> Generator:
@@ -407,13 +408,9 @@ class _FileHandleCore:
                 simfile.grow(req.runs[-1][0] + req.runs[-1][1])
             tick = engine._states[rank].tick + 1
             abs_off = req.runs[0][0] if req.runs else 0
-            event = IOEvent(
-                rank=rank, file_id=simfile.file_id, filename=simfile.name,
-                op=op_name, offset=offset, abs_offset=abs_off, tick=tick,
-                request_size=nbytes, time=start, duration=duration,
-                kind=kind, collective=False, unique_file=simfile.unique,
-            )
-            engine.emit_io_event(event)
+            engine.emit_io_event(_new_event(IOEvent, (
+                rank, simfile.file_id, simfile.name, op_name, offset, abs_off,
+                tick, nbytes, start, duration, kind, False, simfile.unique)))
             handle._completion = start + duration
             # The rank continues immediately: overlap with computation.
             return 0.0, None

@@ -158,6 +158,65 @@ def test_rebuild_competes_with_foreground_io():
     assert not rebuilding.degraded
 
 
+@pytest.mark.parametrize("make,steps", [
+    (lambda: RAID5("vol", disks(5)),
+     [lambda v: v.start_rebuild(overhead=0.5),
+      lambda v: v.finish_rebuild()]),
+    (lambda: RAID5("vol", disks(5)),
+     [lambda v: v.fail_disk(2), lambda v: v.start_rebuild(),
+      lambda v: v.finish_rebuild(restored_member=2)]),
+    (lambda: RAID6("vol", disks(6)),
+     [lambda v: v.fail_disk(0), lambda v: v.start_rebuild()]),
+    (lambda: RAID1("vol", disks(2)), [lambda v: v.fail_disk(1)]),
+    (lambda: RAID10("vol", disks(4)), [lambda v: v.fail_disk(3)]),
+    (lambda: JBOD("vol", [Disk("fast", DiskSpec(seq_read_bw=300.0)),
+                          Disk("slow")]),
+     [lambda v: v.fail_disk(0), lambda v: v.reset(),
+      lambda v: v.restore_disk(0)]),
+], ids=["raid5-rebuild", "raid5-fail-rebuild-restore", "raid6", "raid1",
+        "raid10", "jbod-fail-reset-restore"])
+def test_peak_bw_memo_follows_degraded_state(make, steps):
+    """peak_bw is memoized per volume.  After every state change, a
+    volume queried all along must agree with one built straight into
+    that state (and never queried before)."""
+    used = make()
+    seen = {(used.peak_bw("read"), used.peak_bw("write"))}
+    for n in range(1, len(steps) + 1):
+        steps[n - 1](used)
+        fresh = make()
+        for step in steps[:n]:
+            step(fresh)
+        got = (used.peak_bw("read"), used.peak_bw("write"))
+        assert got == (fresh.peak_bw("read"), fresh.peak_bw("write"))
+        seen.add(got)
+    assert len(seen) > 1  # some step really changed the peak
+
+
+def test_drain_rate_under_fault_plan_is_bit_identical():
+    """A plan's time-varying fail-stop/fail-slow faults change transfers
+    but never the (static) peak bandwidth the write-back cache drains
+    at; completion times are pinned bit for bit across a rebuild."""
+    from repro import faults
+    from repro.faults import FAIL_SLOW, FAIL_STOP, FaultPlan, FaultSpec
+    from repro.iosim import LocalFS
+
+    plan = FaultPlan([FaultSpec(FAIL_STOP, "d0", start=0.01),
+                      FaultSpec(FAIL_SLOW, "d1", start=0.0, end=1.0,
+                                slow_factor=2.0)])
+    steps = [None, lambda v: v.start_rebuild(), lambda v: v.finish_rebuild()]
+    with faults.injected(plan):
+        vol = RAID5("r5", disks(4))
+        fs = LocalFS("fs", vol, cache_mb=1.0)
+        t, ends = 0.0, []
+        for i, step in enumerate(steps):
+            if step is not None:
+                step(vol)
+            t = fs.transfer(t, i * 4 * MB, 4 * MB, "write")
+            ends.append(t.hex())
+    assert ends == ["0x1.b2a56e26ed5b0p-5", "0x1.753a9a34f1d0ep-4",
+                    "0x1.3073465a43821p-3"]
+
+
 def test_degraded_state_survives_reset_and_keys_fingerprint():
     vol = RAID5("vol", disks(5))
     fp_healthy = vol.fingerprint()

@@ -84,6 +84,38 @@ class TestEstimateAndSelect:
         assert "Byna-style" in out and "phase 1:" in out
 
 
+class TestUnreadableModel:
+    """Every ``--model`` subcommand reports a missing or malformed model
+    as a usage error (exit 2), never a traceback."""
+
+    SUBCOMMANDS = [
+        ["estimate", "--config", "configuration-A"],
+        ["select", "--configs", "configuration-A"],
+        ["degraded", "--configs", "configuration-A"],
+        ["replay", "--config", "configuration-A"],
+        ["signatures"],
+    ]
+    BAD_MODELS = {
+        "missing": None,
+        "not-json": "{not json",
+        "wrong-shape": "[1, 2, 3]",
+        "missing-keys": "{}",
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD_MODELS))
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+    def test_clean_error(self, tmp_path, capsys, argv, bad):
+        path = tmp_path / "model.json"
+        if self.BAD_MODELS[bad] is not None:
+            path.write_text(self.BAD_MODELS[bad])
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--model", str(path), *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-io: error: cannot read model {path}: ")
+        assert "Traceback" not in err
+
+
 class TestAppResolution:
     def test_np_threaded_into_params(self):
         _, params = _app_for("ior", 8)
