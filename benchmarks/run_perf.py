@@ -5,9 +5,9 @@ columnar characterization pipeline.
 Three workload families, each workload run as a before/after pair:
 
 * **simulation** (``full_study_*``, ``replay_high_rep``) -- before: the
-  pre-optimization engine (thread-per-rank scheduler, memo caches
-  disabled, full IOzone grids, no extrapolation); after: the optimized
-  core.
+  pre-optimization pipeline (memo caches disabled, full IOzone grids,
+  no extrapolation); after: the optimized core.  Both legs run the one
+  coroutine scheduler.
 * **characterization** (``characterize_*``) -- before: the per-record
   reference pipeline (Fig. 2 text parse into ``TraceRecord`` objects,
   record-by-record LAP/phase extraction); after: the columnar pipeline
@@ -83,7 +83,6 @@ from repro.core.offsetfn import OffsetFunction
 from repro.core.phases import Phase, PhaseOp
 from repro.core.pipeline import full_study
 from repro.core.replayer import replay_phase
-from repro.simmpi.engine import Engine
 from repro.tracer.columns import TraceColumns, numpy_enabled
 from repro.tracer.hooks import TraceBundle, trace_run
 from repro.tracer.metadata import AppMetadata, FileMetadataSummary
@@ -96,22 +95,6 @@ WARM_SPEEDUP_FLOOR = 5.0  # --check-warm: warm full_study_* vs cold after_s
 
 
 # -- legacy-mode shims --------------------------------------------------------
-
-@contextmanager
-def forced_engine_mode(mode: str):
-    """Force every Engine in the pipeline onto one scheduler."""
-    orig = Engine.__init__
-
-    def patched(self, *a, **kw):
-        kw["mode"] = mode
-        orig(self, *a, **kw)
-
-    Engine.__init__ = patched
-    try:
-        yield
-    finally:
-        Engine.__init__ = orig
-
 
 @contextmanager
 def full_iozone_grids():
@@ -135,10 +118,10 @@ def full_iozone_grids():
 
 @contextmanager
 def legacy_core():
-    """The full pre-PR configuration: threads, no caches, no closure."""
+    """The pre-optimization configuration: no caches, no closure."""
     simcache.disable(clear=True)
     try:
-        with forced_engine_mode("threads"), full_iozone_grids():
+        with full_iozone_grids():
             yield
     finally:
         simcache.enable()

@@ -31,14 +31,14 @@ def interleaved_replay(phase) -> float:
     reps = max(phase.rep, 6)
 
     def program(ctx):
-        fh = ctx.file_open("wr-replay")
+        fh = yield from ctx.file_open("wr-replay")
         base = ctx.rank * 2 * reps * rs
         for k in range(reps):
-            fh.seek(base + k * rs)
-            fh.write(rs)
-            fh.seek(base + reps * rs + k * rs)
-            fh.read(rs)
-        fh.close()
+            yield from fh.seek(base + k * rs)
+            yield from fh.write(rs)
+            yield from fh.seek(base + reps * rs + k * rs)
+            yield from fh.read(rs)
+        yield from fh.close()
 
     events: list[IOEvent] = []
     engine = Engine(phase.np, platform=configuration_a())

@@ -51,13 +51,14 @@ def media_bound_cluster() -> Cluster:
 
 def checkpoint_app(ctx):
     """50 periodic collective checkpoints of 8 MB per rank."""
-    fh = ctx.file_open("ckpt")
+    fh = yield from ctx.file_open("ckpt")
     for step in range(50):
-        ctx.compute(0.02)
-        ctx.allreduce(1.0)
-        fh.write_at_all((step * ctx.size + ctx.rank) * 8 * MB, 8 * MB)
-    fh.close()
-    ctx.barrier()
+        yield from ctx.compute(0.02)
+        yield from ctx.allreduce(1.0)
+        yield from fh.write_at_all((step * ctx.size + ctx.rank) * 8 * MB,
+                                   8 * MB)
+    yield from fh.close()
+    yield from ctx.barrier()
 
 
 def estimate_with(phase, min_block: int) -> float:

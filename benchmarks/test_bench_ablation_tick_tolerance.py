@@ -30,12 +30,12 @@ def drifting_app(ctx):
     partner = ctx.rank ^ 1
     for _ in range(pair * 4):
         if ctx.rank % 2 == 0:
-            ctx.send(partner, 1024)
+            yield from ctx.send(partner, 1024)
         else:
-            ctx.recv(partner)
-    fh = ctx.file_open("drift.dat")
-    fh.write_at_all(ctx.rank * MB, MB)
-    fh.close()
+            yield from ctx.recv(partner)
+    fh = yield from ctx.file_open("drift.dat")
+    yield from fh.write_at_all(ctx.rank * MB, MB)
+    yield from fh.close()
 
 
 def sweep():

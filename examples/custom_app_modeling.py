@@ -33,20 +33,21 @@ def make_solver(checkpoint_every: int, nsteps: int = 24):
         slab = 4 * MB  # bytes per rank per dump
         slab_e = slab // 8
         ndumps = nsteps // checkpoint_every
-        fh = ctx.file_open("history.nc")
+        fh = yield from ctx.file_open("history.nc")
         filetype = Vector(count=max(1, ndumps), blocklen=slab_e,
                           stride=np_ * slab_e, base=etype)
-        fh.set_view(disp=ctx.rank * slab, etype=etype, filetype=filetype)
+        yield from fh.set_view(disp=ctx.rank * slab, etype=etype,
+                               filetype=filetype)
         dump = 0
         for step in range(1, nsteps + 1):
-            ctx.compute(0.05)
+            yield from ctx.compute(0.05)
             for _ in range(6):  # halo exchange sweeps
-                ctx.allreduce(1.0)
+                yield from ctx.allreduce(1.0)
             if step % checkpoint_every == 0:
-                fh.write_at_all(dump * slab_e, slab)
+                yield from fh.write_at_all(dump * slab_e, slab)
                 dump += 1
-        fh.close()
-        ctx.barrier()
+        yield from fh.close()
+        yield from ctx.barrier()
 
     return solver
 

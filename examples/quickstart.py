@@ -24,19 +24,20 @@ MB = 1024 * 1024
 # -- 1. the application ------------------------------------------------------
 # A small SPMD program: every rank computes, exchanges halos, and
 # checkpoints its slice of a shared file every "iteration".
+# Rank programs are generators: each MPI call is ``yield from ctx.<verb>``.
 
 def my_app(ctx):
-    fh = ctx.file_open("checkpoint.dat")
+    fh = yield from ctx.file_open("checkpoint.dat")
     slice_bytes = 16 * MB
     for step in range(8):
-        ctx.compute(0.2)  # busy-work
-        ctx.allreduce(1.0)  # convergence check
+        yield from ctx.compute(0.2)  # busy-work
+        yield from ctx.allreduce(1.0)  # convergence check
         if step % 2 == 1:  # checkpoint every 2nd step
-            fh.write_at_all(ctx.rank * slice_bytes, slice_bytes)
+            yield from fh.write_at_all(ctx.rank * slice_bytes, slice_bytes)
     # final verification read
-    fh.read_at_all(ctx.rank * slice_bytes, slice_bytes)
-    fh.close()
-    ctx.barrier()
+    yield from fh.read_at_all(ctx.rank * slice_bytes, slice_bytes)
+    yield from fh.close()
+    yield from ctx.barrier()
 
 
 def main() -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simmpi.context import CoroContext
+from repro.simmpi.context import RankContext
 from repro.simmpi.datatypes import Basic, Vector
 from repro.simmpi.errors import MPIUsageError
 
@@ -91,7 +91,7 @@ def validate_np(np: int) -> int:
     return root
 
 
-def btio_program(ctx: CoroContext, params: BTIOParams = BTIOParams()):
+def btio_program(ctx: RankContext, params: BTIOParams = BTIOParams()):
     """Rank program for BT-IO FULL (and SIMPLE, without collectives)."""
     np = ctx.size
     validate_np(np)

@@ -32,7 +32,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 
-from repro.simmpi.context import CoroContext
+from repro.simmpi.context import RankContext
 from repro.simmpi.engine import Engine, Platform
 from repro.simmpi.errors import MPIUsageError
 from repro.simmpi.fileio import IOEvent
@@ -104,7 +104,7 @@ class IORResult:
         return self.bw_mb_s[kind]
 
 
-def ior_program(ctx: CoroContext, params: IORParams):
+def ior_program(ctx: RankContext, params: IORParams):
     """Rank program of the IOR benchmark (coroutine style)."""
     fh = yield from ctx.file_open(params.filename, unique=params.file_per_process)
     ntransfers = params.transfers_per_segment

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simmpi.context import CoroContext
+from repro.simmpi.context import RankContext
 from repro.simmpi.errors import MPIUsageError
 
 
@@ -53,7 +53,7 @@ class MADbench2Params:
         return total // np
 
 
-def madbench2_program(ctx: CoroContext,
+def madbench2_program(ctx: RankContext,
                       params: MADbench2Params = MADbench2Params()):
     """Rank program: S, W, C with busy-work, on one shared file.
 

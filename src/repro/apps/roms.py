@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hdf5lite import CoroH5File
-from repro.simmpi.context import CoroContext
+from repro.hdf5lite import H5File
+from repro.simmpi.context import RankContext
 
 #: (name, dimensionality) of the upwelling history fields.
 HISTORY_FIELDS = [
@@ -58,7 +58,7 @@ class ROMSParams:
         return sum(self.field_bytes(d) for _, d in HISTORY_FIELDS)
 
 
-def roms_program(ctx: CoroContext, params: ROMSParams = ROMSParams()):
+def roms_program(ctx: RankContext, params: ROMSParams = ROMSParams()):
     """Rank program: time stepping with periodic multi-file history output."""
     his_index = 0
     for step in range(1, params.nsteps + 1):
@@ -68,7 +68,7 @@ def roms_program(ctx: CoroContext, params: ROMSParams = ROMSParams()):
             yield from ctx.allreduce(1.0)  # barotropic/baroclinic coupling
         if step % params.history_every == 0:
             his_index += 1
-            f = yield from CoroH5File.open(ctx, f"his_{his_index:04d}.nc")
+            f = yield from H5File.open(ctx, f"his_{his_index:04d}.nc")
             try:
                 yield from f.attrs.set("ocean_time", step)
                 for name, dims in HISTORY_FIELDS:
@@ -79,7 +79,7 @@ def roms_program(ctx: CoroContext, params: ROMSParams = ROMSParams()):
                 yield from f.close()
 
     # Final restart: two time levels of the 3-D prognostic state.
-    f = yield from CoroH5File.open(ctx, "rst.nc")
+    f = yield from H5File.open(ctx, "rst.nc")
     try:
         yield from f.attrs.set("ntimes", params.nsteps)
         for level in range(2):

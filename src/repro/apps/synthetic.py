@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simmpi.context import CoroContext
+from repro.simmpi.context import RankContext
 from repro.simmpi.datatypes import Basic, Vector
 
 #: Fig. 2's request size (bytes) and its etype (40-byte record).
@@ -35,7 +35,7 @@ class SyntheticParams:
     filename: str = "synthetic.dat"
 
 
-def synthetic_program(ctx: CoroContext, params: SyntheticParams = SyntheticParams()):
+def synthetic_program(ctx: RankContext, params: SyntheticParams = SyntheticParams()):
     """Rank program for the Figs. 2-5 example (coroutine style)."""
     np = ctx.size
     etype = Basic(ETYPE_BYTES)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.simmpi.context import CoroContext
+from repro.simmpi.context import RankContext
 from repro.simmpi.engine import Engine, Platform
 from repro.simmpi.fileio import IOEvent
 
@@ -61,7 +61,7 @@ class _ReplaySpec:
     filename: str
 
 
-def _replay_program(ctx: CoroContext, spec: _ReplaySpec):
+def _replay_program(ctx: RankContext, spec: _ReplaySpec):
     fh = yield from ctx.file_open(spec.filename, unique=spec.unique_file)
     yield from ctx.barrier()
     for k in range(spec.rep):

@@ -33,7 +33,7 @@ is compacted.  Per-phase start offsets (f(initOffset)) are preserved.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Generator
 
 from repro.simmpi.context import RankContext
 from repro.simmpi.errors import MPIUsageError
@@ -70,7 +70,7 @@ def synthesize_program(model: IOModel,
     _check(model)
     phases = list(model.phases)
 
-    def program(ctx: RankContext) -> None:
+    def program(ctx: RankContext) -> Generator:
         if ctx.size != model.np:
             raise MPIUsageError(
                 f"synthesized program needs np={model.np}, got {ctx.size}")
@@ -78,23 +78,24 @@ def synthesize_program(model: IOModel,
         for ph in phases:
             fh = handles.get(ph.file_group)
             if fh is None:
-                fh = ctx.file_open(ph.file_group, unique=ph.unique_file)
+                fh = yield from ctx.file_open(ph.file_group,
+                                              unique=ph.unique_file)
                 handles[ph.file_group] = fh
             if compute_between_phases:
-                ctx.compute(compute_between_phases)
+                yield from ctx.compute(compute_between_phases)
             # Distinct tick bursts between phases (temporal pattern).
             for _ in range(INTER_PHASE_EVENTS):
-                ctx.allreduce(1.0)
-            _replay_phase(ctx, fh, ph)
+                yield from ctx.allreduce(1.0)
+            yield from _replay_phase(ctx, fh, ph)
         for fh in handles.values():
-            fh.close()
-        ctx.barrier()
+            yield from fh.close()
+        yield from ctx.barrier()
 
     program.__doc__ = f"Synthesized replay of {model.app_name} (np={model.np})"
     return program
 
 
-def _replay_phase(ctx: RankContext, fh, ph: Phase) -> None:
+def _replay_phase(ctx: RankContext, fh, ph: Phase) -> Generator:
     participate = ctx.rank in ph.ranks
     for k in range(ph.rep):
         for op in ph.ops:
@@ -107,17 +108,17 @@ def _replay_phase(ctx: RankContext, fh, ph: Phase) -> None:
                 if len(ph.ranks) == ctx.size:
                     offset = op.abs_offset_fn(ctx.rank) + k * _step(op)
                     if op.kind == "write":
-                        fh.write_at_all(offset, op.request_size)
+                        yield from fh.write_at_all(offset, op.request_size)
                     else:
-                        fh.read_at_all(offset, op.request_size)
+                        yield from fh.read_at_all(offset, op.request_size)
                     continue
             if not participate:
                 continue
             offset = op.abs_offset_fn(ctx.rank) + k * _step(op)
-            _issue(fh, op, offset)
+            yield from _issue(fh, op, offset)
 
 
-def _issue(fh, op, offset: int) -> None:
+def _issue(fh, op, offset: int) -> Generator:
     """Re-enact one operation with the original routine's addressing.
 
     Individual-pointer routines (``MPI_File_write``/``read``) are
@@ -128,15 +129,15 @@ def _issue(fh, op, offset: int) -> None:
     individual = op.op in ("MPI_File_write", "MPI_File_read",
                            "MPI_File_write_all", "MPI_File_read_all")
     if individual:
-        fh.seek(offset)
+        yield from fh.seek(offset)
         if op.kind == "write":
-            fh.write(op.request_size)
+            yield from fh.write(op.request_size)
         else:
-            fh.read(op.request_size)
+            yield from fh.read(op.request_size)
     elif op.kind == "write":
-        fh.write_at(offset, op.request_size)
+        yield from fh.write_at(offset, op.request_size)
     else:
-        fh.read_at(offset, op.request_size)
+        yield from fh.read_at(offset, op.request_size)
 
 
 def _step(op) -> int:

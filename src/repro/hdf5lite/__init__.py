@@ -12,6 +12,6 @@ writes, and small attribute writes -- each mapping onto MPI-IO
 operations that the tracer sees and the phase model captures per file.
 """
 
-from .file import CoroDataset, CoroH5File, Dataset, H5File
+from .file import Dataset, H5File
 
-__all__ = ["CoroDataset", "CoroH5File", "Dataset", "H5File"]
+__all__ = ["Dataset", "H5File"]

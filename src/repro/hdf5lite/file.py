@@ -9,17 +9,13 @@ Layout (a simplification of the HDF5 format, faithful in its I/O
   contiguous extent;
 * ``Dataset.write_slab`` / ``read_slab`` are collective operations on
   each rank's hyperslab of the dataset (rank-contiguous decomposition);
-* ``attrs[...] = value`` appends a small attribute write.
+* ``attrs.set(name, value)`` appends a small attribute write.
 
 All sizes are in bytes; element size is carried per dataset so slabs
 stay whole-element (MPI etype semantics).
 
-Like the MPI layer itself, every operation is implemented once as a
-generator core (``_g_*``).  :class:`H5File`/:class:`Dataset` are the
-blocking shells for thread-scheduled rank programs;
-:class:`CoroH5File`/:class:`CoroDataset` alias the cores directly for
-coroutine-scheduled programs (``f = yield from CoroH5File.open(...)``,
-``yield from ds.write_slab()``).
+Like the MPI layer itself, every I/O operation is a generator that rank
+programs delegate to with ``yield from``.
 """
 
 from __future__ import annotations
@@ -53,36 +49,21 @@ class Dataset:
         return (self.offset + start_el * self.element_size,
                 count_el * self.element_size)
 
-    # -- generator cores -------------------------------------------------------
-    def _g_write_slab(self):
-        self.file._check_open()
-        ctx = self.file._ctx
-        off, ln = self.slab(ctx.rank, ctx.size)
-        if ln > 0:
-            yield from self.file._fh._g_write_at_all(off, ln)
-
-    def _g_read_slab(self):
-        self.file._check_open()
-        ctx = self.file._ctx
-        off, ln = self.slab(ctx.rank, ctx.size)
-        if ln > 0:
-            yield from self.file._fh._g_read_at_all(off, ln)
-
-    # -- blocking shells -------------------------------------------------------
-    def write_slab(self) -> None:
+    def write_slab(self):
         """Collective write of the calling rank's hyperslab."""
-        self.file._ctx._drive(self._g_write_slab())
+        self.file._check_open()
+        ctx = self.file._ctx
+        off, ln = self.slab(ctx.rank, ctx.size)
+        if ln > 0:
+            yield from self.file._fh.write_at_all(off, ln)
 
-    def read_slab(self) -> None:
+    def read_slab(self):
         """Collective read of the calling rank's hyperslab."""
-        self.file._ctx._drive(self._g_read_slab())
-
-
-class CoroDataset(Dataset):
-    """Dataset for coroutine rank programs: slab ops are generators."""
-
-    write_slab = Dataset._g_write_slab
-    read_slab = Dataset._g_read_slab
+        self.file._check_open()
+        ctx = self.file._ctx
+        off, ln = self.slab(ctx.rank, ctx.size)
+        if ln > 0:
+            yield from self.file._fh.read_at_all(off, ln)
 
 
 class _Attributes:
@@ -92,21 +73,16 @@ class _Attributes:
         self._file = h5file
         self._names: dict[str, int] = {}
 
-    def _g_set(self, name: str, value: object):
+    def set(self, name: str, value: object):
+        """Assign an attribute: ``yield from f.attrs.set(name, value)``."""
         self._file._check_open()
         if name not in self._names:
             self._names[name] = self._file._allocate(ATTRIBUTE_BYTES)
         # Attribute writes are rank-0 metadata updates (HDF5 collective
         # metadata semantics: one writer, others observe the handle).
         if self._file._ctx.rank == 0:
-            yield from self._file._fh._g_write_at(self._names[name],
-                                                  ATTRIBUTE_BYTES)
-
-    #: Coroutine programs assign via ``yield from f.attrs.set(k, v)``.
-    set = _g_set
-
-    def __setitem__(self, name: str, value: object) -> None:
-        self._file._ctx._drive(self._g_set(name, value))
+            yield from self._file._fh.write_at(self._names[name],
+                                               ATTRIBUTE_BYTES)
 
     def __contains__(self, name: str) -> bool:
         return name in self._names
@@ -117,18 +93,15 @@ class H5File:
 
     Usage::
 
-        with H5File(ctx, "his_0001.nc") as f:
-            zeta = f.create_dataset("zeta", nbytes=grid2d, element_size=8)
-            zeta.write_slab()
+        f = yield from H5File.open(ctx, "his_0001.nc")
+        zeta = yield from f.create_dataset("zeta", nbytes=grid2d,
+                                           element_size=8)
+        yield from zeta.write_slab()
+        yield from f.close()
     """
 
-    _ds_class: type = Dataset
-
     def __init__(self, ctx: RankContext, name: str, mode: str = "w"):
-        self._setup(ctx, name, mode)
-        ctx._drive(self._g_open_io())
-
-    def _setup(self, ctx, name: str, mode: str) -> None:
+        """Handle state only; :meth:`open` performs the collective open."""
         self._ctx = ctx
         self.name = name
         self.mode = mode
@@ -138,14 +111,18 @@ class H5File:
         self._closed = False
         self.attrs = _Attributes(self)
 
-    def _g_open_io(self):
-        self._fh = yield from self._ctx._g_file_open(self.name, mode="rw")
-        if "w" in self.mode and self._ctx.rank == 0:
+    @classmethod
+    def open(cls, ctx: RankContext, name: str, mode: str = "w"):
+        """Collectively open (and, in write mode, create) the file."""
+        f = cls(ctx, name, mode)
+        f._fh = yield from ctx.file_open(name, mode="rw")
+        if "w" in mode and ctx.rank == 0:
             # The superblock: one small metadata write at create time.
-            yield from self._fh._g_write_at(0, SUPERBLOCK_BYTES)
+            yield from f._fh.write_at(0, SUPERBLOCK_BYTES)
+        return f
 
-    # -- generator cores -------------------------------------------------------
-    def _g_create_dataset(self, name: str, nbytes: int, element_size: int = 8):
+    def create_dataset(self, name: str, nbytes: int, element_size: int = 8):
+        """Declare a dataset; reserves its extent, writes its header."""
         self._check_open()
         if name in self._datasets:
             raise MPIUsageError(f"dataset {name!r} already exists in {self.name}")
@@ -156,35 +133,19 @@ class H5File:
         header_at = self._allocate(OBJECT_HEADER_BYTES)
         data_at = self._allocate(nbytes)
         if self._ctx.rank == 0:
-            yield from self._fh._g_write_at(header_at, OBJECT_HEADER_BYTES)
-        ds = self._ds_class(name=name, offset=data_at, nbytes=nbytes,
-                            element_size=element_size, file=self)
+            yield from self._fh.write_at(header_at, OBJECT_HEADER_BYTES)
+        ds = Dataset(name=name, offset=data_at, nbytes=nbytes,
+                     element_size=element_size, file=self)
         self._datasets[name] = ds
         return ds
 
-    def _g_close(self):
+    def close(self):
+        """Close the file handle and synchronize (idempotent)."""
         if not self._closed:
             self._closed = True
-            yield from self._fh._g_close()
-            yield from self._ctx._g_barrier()
+            yield from self._fh.close()
+            yield from self._ctx.barrier()
 
-    # -- blocking shells -------------------------------------------------------
-    def create_dataset(self, name: str, nbytes: int,
-                       element_size: int = 8) -> Dataset:
-        """Declare a dataset; reserves its extent, writes its header."""
-        return self._ctx._drive(self._g_create_dataset(name, nbytes,
-                                                       element_size))
-
-    def close(self) -> None:
-        self._ctx._drive(self._g_close())
-
-    def __enter__(self) -> "H5File":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- shared ----------------------------------------------------------------
     def __getitem__(self, name: str) -> Dataset:
         try:
             return self._datasets[name]
@@ -203,30 +164,3 @@ class H5File:
         at = self._next_free
         self._next_free += nbytes
         return at
-
-
-class CoroH5File(H5File):
-    """H5File for coroutine rank programs.
-
-    Opened via the generator classmethod (``__init__`` would have to
-    block on the collective open)::
-
-        f = yield from CoroH5File.open(ctx, "his_0001.nc")
-        ds = yield from f.create_dataset("zeta", nbytes=grid2d)
-        yield from ds.write_slab()
-        yield from f.close()
-    """
-
-    _ds_class = CoroDataset
-
-    def __init__(self, ctx, name: str, mode: str = "w"):
-        self._setup(ctx, name, mode)
-
-    @classmethod
-    def open(cls, ctx, name: str, mode: str = "w"):
-        f = cls(ctx, name, mode)
-        yield from f._g_open_io()
-        return f
-
-    create_dataset = H5File._g_create_dataset
-    close = H5File._g_close

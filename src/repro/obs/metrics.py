@@ -6,8 +6,8 @@ resolves one child time series per label-value combination.  Families
 with no labels act as their own child, so ``registry.counter("x").inc()``
 works directly.
 
-Everything is guarded by one registry lock -- updates come from the
-engine scheduler thread and rank threads concurrently.
+Everything is guarded by one registry lock -- updates may come from
+several threads concurrently (the service daemon's, an executor's).
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ codebase runs on two clocks:
 
 * **wall spans** -- real elapsed time of pipeline stages
   (characterize / estimate / measure / evaluate), opened and closed as
-  Python context managers.  Nesting is tracked per thread (the engine
-  runs one Python thread per simulated rank), so concurrent rank
-  threads each get their own ancestor stack.
+  Python context managers.  Nesting is tracked per thread, so
+  concurrent threads (the service daemon's, an executor's) each get
+  their own ancestor stack.
 * **virtual spans** -- completed intervals on the simulation's virtual
   clock (an I/O operation of rank 3 from t=12.5s for 0.8s).  These are
   recorded post-hoc in one call because the simulator computes a whole
@@ -18,8 +18,8 @@ codebase runs on two clocks:
 Instant **events** (no duration) mark points of interest on either
 clock.
 
-All mutation is lock-protected; the tracer may be fed from the
-scheduler thread and every rank thread at once.
+All mutation is lock-protected; the tracer may be fed from several
+threads at once.
 """
 
 from __future__ import annotations

@@ -5,15 +5,15 @@ Public surface::
     from repro.simmpi import Engine, IdealPlatform, RankContext
     from repro.simmpi import datatypes
 
-    def program(ctx):
-        fh = ctx.file_open("data.out")
-        fh.write_at_all(ctx.rank * 1024, 1024)
-        fh.close()
+    def program(ctx):  # a generator: each MPI verb is `yield from`-ed
+        fh = yield from ctx.file_open("data.out")
+        yield from fh.write_at_all(ctx.rank * 1024, 1024)
+        yield from fh.close()
 
     Engine(nprocs=4, platform=IdealPlatform()).run(program)
 """
 
-from .context import CoroContext, RankContext
+from .context import RankContext
 from .datatypes import (
     BYTE,
     DOUBLE,
@@ -35,8 +35,6 @@ from .errors import (
     SimMPIError,
 )
 from .fileio import (
-    CoroFileHandle,
-    CoroIORequestHandle,
     IOEvent,
     IORequestHandle,
     OP_NAMES,
@@ -51,9 +49,6 @@ __all__ = [
     "Comm",
     "CollectiveMismatch",
     "Contiguous",
-    "CoroContext",
-    "CoroFileHandle",
-    "CoroIORequestHandle",
     "Datatype",
     "DeadlockError",
     "Engine",

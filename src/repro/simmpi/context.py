@@ -7,32 +7,27 @@ scheduling point of the deterministic engine and increments the rank's
 *tick* (the paper's logical time unit); ``compute`` advances virtual
 time without a tick since it is not an MPI event.
 
-Every verb is implemented **once**, as a generator that yields op dicts
-to the engine (the ``_g_*`` cores in :class:`_ContextCore`).  Two thin
-shells expose them:
+Every verb is a generator that yields op dicts to the engine; rank
+programs delegate to it with ``yield from``, so the single-threaded
+scheduler can suspend the rank at every op::
 
-* :class:`RankContext` -- the blocking API for plain-callable programs
-  on the threaded scheduler: each verb drives its core generator through
-  ``Engine.submit`` and returns the result.
-* :class:`CoroContext` -- the generator API for coroutine programs:
-  each verb *is* the core generator, used as ``yield from ctx.verb(...)``
-  so the single-threaded scheduler can suspend the rank at every op.
+    def program(ctx):
+        fh = yield from ctx.file_open("data")
+        yield from fh.write_at(0, 1024)
+        yield from ctx.barrier()
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generator, Sequence
 
-from .engine import Comm, Engine, drive_blocking
+from .engine import Comm, Engine
 from .errors import MPIUsageError
-from .fileio import CoroFileHandle, SimFileHandle
+from .fileio import SimFileHandle
 
 
-class _ContextCore:
-    """Shared state and generator-core implementations of the MPI verbs."""
-
-    #: File-handle class ``file_open`` produces (set by the shells).
-    _fh_class: type = SimFileHandle
+class RankContext:
+    """The MPI world as seen by a single rank."""
 
     def __init__(self, engine: Engine, rank: int):
         self._engine = engine
@@ -64,7 +59,7 @@ class _ContextCore:
         return self._engine._states[self._rank].tick
 
     # -- computation -------------------------------------------------------------
-    def _g_compute(self, seconds: float) -> Generator:
+    def compute(self, seconds: float) -> Generator:
         """Busy-work: advance virtual time without an MPI event (no tick)."""
         if seconds < 0:
             raise MPIUsageError(f"compute time must be >= 0, got {seconds}")
@@ -72,7 +67,7 @@ class _ContextCore:
                "fn": lambda start: (seconds, None)}
 
     # -- collectives --------------------------------------------------------------
-    def _g_collective(
+    def _collective(
         self,
         name: str,
         comm: Comm | None,
@@ -93,7 +88,7 @@ class _ContextCore:
         result = yield op
         return result
 
-    def _g_barrier(self, comm: Comm | None = None) -> Generator:
+    def barrier(self, comm: Comm | None = None) -> Generator:
         """Synchronize all ranks of ``comm`` (world by default)."""
         platform = self._engine.platform
 
@@ -101,10 +96,10 @@ class _ContextCore:
             dur = platform.comm_time(0, len(ops), "barrier", t0)
             return {r: dur for r in ops}, {r: None for r in ops}
 
-        return (yield from self._g_collective("barrier", comm, finalize))
+        return (yield from self._collective("barrier", comm, finalize))
 
-    def _g_bcast(self, value: Any = None, root: int = 0, nbytes: int = 8,
-                 comm: Comm | None = None) -> Generator:
+    def bcast(self, value: Any = None, root: int = 0, nbytes: int = 8,
+              comm: Comm | None = None) -> Generator:
         """Broadcast ``value`` from world-rank ``root``; returns it on all ranks."""
         platform = self._engine.platform
 
@@ -115,12 +110,12 @@ class _ContextCore:
             dur = platform.comm_time(nbytes, len(ops), "bcast", t0)
             return {r: dur for r in ops}, {r: result for r in ops}
 
-        return (yield from self._g_collective("bcast", comm, finalize,
-                                              payload=value))
+        return (yield from self._collective("bcast", comm, finalize,
+                                            payload=value))
 
-    def _g_allreduce(self, value: Any,
-                     op: Callable[[Sequence[Any]], Any] = sum,
-                     nbytes: int = 8, comm: Comm | None = None) -> Generator:
+    def allreduce(self, value: Any,
+                  op: Callable[[Sequence[Any]], Any] = sum,
+                  nbytes: int = 8, comm: Comm | None = None) -> Generator:
         """Reduce ``value`` across ranks with ``op`` (sum by default)."""
         platform = self._engine.platform
 
@@ -130,11 +125,11 @@ class _ContextCore:
             dur = platform.comm_time(nbytes, len(ops), "allreduce", t0)
             return {r: dur for r in ops}, {r: result for r in ops}
 
-        return (yield from self._g_collective("allreduce", comm, finalize,
-                                              payload=value))
+        return (yield from self._collective("allreduce", comm, finalize,
+                                            payload=value))
 
-    def _g_gather(self, value: Any, root: int = 0, nbytes: int = 8,
-                  comm: Comm | None = None) -> Generator:
+    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
+               comm: Comm | None = None) -> Generator:
         """Gather values to ``root``; returns the list on root, None elsewhere."""
         platform = self._engine.platform
 
@@ -146,12 +141,12 @@ class _ContextCore:
                 {r: (values if r == root else None) for r in ops},
             )
 
-        return (yield from self._g_collective("gather", comm, finalize,
-                                              payload=value))
+        return (yield from self._collective("gather", comm, finalize,
+                                            payload=value))
 
-    def _g_reduce(self, value: Any, root: int = 0,
-                  op: Callable[[Sequence[Any]], Any] = sum, nbytes: int = 8,
-                  comm: Comm | None = None) -> Generator:
+    def reduce(self, value: Any, root: int = 0,
+               op: Callable[[Sequence[Any]], Any] = sum, nbytes: int = 8,
+               comm: Comm | None = None) -> Generator:
         """Reduce to ``root``; returns the result on root, None elsewhere."""
         platform = self._engine.platform
 
@@ -164,11 +159,11 @@ class _ContextCore:
             return ({r: dur for r in ops},
                     {r: (result if r == root else None) for r in ops})
 
-        return (yield from self._g_collective("reduce", comm, finalize,
-                                              payload=value))
+        return (yield from self._collective("reduce", comm, finalize,
+                                            payload=value))
 
-    def _g_scatter(self, values: Sequence[Any] | None = None, root: int = 0,
-                   nbytes: int = 8, comm: Comm | None = None) -> Generator:
+    def scatter(self, values: Sequence[Any] | None = None, root: int = 0,
+                nbytes: int = 8, comm: Comm | None = None) -> Generator:
         """Scatter ``values`` (one per comm rank, given on root) from root."""
         platform = self._engine.platform
 
@@ -185,11 +180,11 @@ class _ContextCore:
             return ({r: dur for r in ops},
                     {r: vals[i] for i, r in enumerate(ranks)})
 
-        return (yield from self._g_collective("scatter", comm, finalize,
-                                              payload=values))
+        return (yield from self._collective("scatter", comm, finalize,
+                                            payload=values))
 
-    def _g_allgather(self, value: Any, nbytes: int = 8,
-                     comm: Comm | None = None) -> Generator:
+    def allgather(self, value: Any, nbytes: int = 8,
+                  comm: Comm | None = None) -> Generator:
         """Gather values from all ranks to all ranks."""
         platform = self._engine.platform
 
@@ -199,11 +194,11 @@ class _ContextCore:
                                      "alltoall", t0)
             return {r: dur for r in ops}, {r: list(values) for r in ops}
 
-        return (yield from self._g_collective("allgather", comm, finalize,
-                                              payload=value))
+        return (yield from self._collective("allgather", comm, finalize,
+                                            payload=value))
 
-    def _g_sendrecv(self, dest: int, source: int, nbytes: int = 8,
-                    tag: int = 0, payload: Any = None) -> Generator:
+    def sendrecv(self, dest: int, source: int, nbytes: int = 8,
+                 tag: int = 0, payload: Any = None) -> Generator:
         """Combined send-to-dest / receive-from-source (deadlock-free).
 
         Implemented as two rendezvous halves ordered by rank parity so a
@@ -212,14 +207,14 @@ class _ContextCore:
         if dest == source == self._rank:
             raise MPIUsageError("sendrecv with self on both sides")
         if self._rank % 2 == 0:
-            yield from self._g_send(dest, nbytes, tag=tag, payload=payload)
-            return (yield from self._g_recv(source, tag=tag))
-        received = yield from self._g_recv(source, tag=tag)
-        yield from self._g_send(dest, nbytes, tag=tag, payload=payload)
+            yield from self.send(dest, nbytes, tag=tag, payload=payload)
+            return (yield from self.recv(source, tag=tag))
+        received = yield from self.recv(source, tag=tag)
+        yield from self.send(dest, nbytes, tag=tag, payload=payload)
         return received
 
-    def _g_alltoall(self, nbytes_per_peer: int = 8,
-                    comm: Comm | None = None) -> Generator:
+    def alltoall(self, nbytes_per_peer: int = 8,
+                 comm: Comm | None = None) -> Generator:
         """Model an all-to-all exchange of ``nbytes_per_peer`` per pair."""
         platform = self._engine.platform
 
@@ -228,10 +223,10 @@ class _ContextCore:
             dur = platform.comm_time(nbytes_per_peer * n, n, "alltoall", t0)
             return {r: dur for r in ops}, {r: None for r in ops}
 
-        return (yield from self._g_collective("alltoall", comm, finalize))
+        return (yield from self._collective("alltoall", comm, finalize))
 
-    def _g_split(self, color: int, key: int | None = None,
-                 comm: Comm | None = None) -> Generator:
+    def split(self, color: int, key: int | None = None,
+              comm: Comm | None = None) -> Generator:
         """Split a communicator by ``color`` (like ``MPI_Comm_split``)."""
         platform = self._engine.platform
 
@@ -252,18 +247,18 @@ class _ContextCore:
             return {r: dur for r in ops}, results
 
         me = key if key is not None else self._rank
-        return (yield from self._g_collective("split", comm, finalize,
-                                              payload=(color, me)))
+        return (yield from self._collective("split", comm, finalize,
+                                            payload=(color, me)))
 
     # -- point-to-point --------------------------------------------------------------
-    def _g_send(self, peer: int, nbytes: int, tag: int = 0,
-                payload: Any = None) -> Generator:
+    def send(self, peer: int, nbytes: int, tag: int = 0,
+             payload: Any = None) -> Generator:
         """Synchronous send of ``nbytes`` to world-rank ``peer``."""
         self._check_peer(peer)
         yield {"kind": "p2p", "role": "send", "peer": peer, "tag": tag,
                "nbytes": nbytes, "payload": payload, "ticks": 1}
 
-    def _g_recv(self, peer: int, tag: int = 0) -> Generator:
+    def recv(self, peer: int, tag: int = 0) -> Generator:
         """Blocking receive from world-rank ``peer``; returns the payload."""
         self._check_peer(peer)
         return (yield {"kind": "p2p", "role": "recv", "peer": peer,
@@ -276,120 +271,15 @@ class _ContextCore:
             raise MPIUsageError("send/recv to self would deadlock a rendezvous pair")
 
     # -- MPI-IO ------------------------------------------------------------------------
-    def _g_file_open(self, filename: str, mode: str = "rw",
-                     unique: bool = False,
-                     comm: Comm | None = None) -> Generator:
+    def file_open(self, filename: str, mode: str = "rw",
+                  unique: bool = False,
+                  comm: Comm | None = None) -> Generator:
         """Open a file; ``unique=True`` opens a per-process file (``name.<rank>``).
 
         A shared open (the default) is collective over ``comm`` and all
         ranks obtain handles onto the same simulated file, mirroring
         ``MPI_File_open`` on a communicator.
         """
-        return (yield from self._fh_class._g_open(
+        return (yield from SimFileHandle.open(
             self._engine, self, filename, mode=mode, unique=unique,
             comm=comm or self._engine.world))
-
-
-class RankContext(_ContextCore):
-    """The MPI world as seen by a single rank (blocking API).
-
-    Used by plain-callable rank programs on the threaded scheduler:
-    every verb blocks the calling rank thread until the engine has
-    processed the op.
-    """
-
-    _fh_class = SimFileHandle
-
-    def _drive(self, gen: Generator) -> Any:
-        return drive_blocking(self._engine, self._rank, gen)
-
-    def compute(self, seconds: float) -> None:
-        return self._drive(self._g_compute(seconds))
-
-    def _collective(self, name: str, comm: Comm | None, finalize: Callable,
-                    payload: Any = None, **extra: Any) -> Any:
-        return self._drive(self._g_collective(name, comm, finalize,
-                                              payload=payload, **extra))
-
-    def barrier(self, comm: Comm | None = None) -> None:
-        return self._drive(self._g_barrier(comm))
-
-    def bcast(self, value: Any = None, root: int = 0, nbytes: int = 8,
-              comm: Comm | None = None) -> Any:
-        return self._drive(self._g_bcast(value, root, nbytes, comm))
-
-    def allreduce(self, value: Any, op: Callable[[Sequence[Any]], Any] = sum,
-                  nbytes: int = 8, comm: Comm | None = None) -> Any:
-        return self._drive(self._g_allreduce(value, op, nbytes, comm))
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8,
-               comm: Comm | None = None) -> list[Any] | None:
-        return self._drive(self._g_gather(value, root, nbytes, comm))
-
-    def reduce(self, value: Any, root: int = 0,
-               op: Callable[[Sequence[Any]], Any] = sum, nbytes: int = 8,
-               comm: Comm | None = None) -> Any:
-        return self._drive(self._g_reduce(value, root, op, nbytes, comm))
-
-    def scatter(self, values: Sequence[Any] | None = None, root: int = 0,
-                nbytes: int = 8, comm: Comm | None = None) -> Any:
-        return self._drive(self._g_scatter(values, root, nbytes, comm))
-
-    def allgather(self, value: Any, nbytes: int = 8,
-                  comm: Comm | None = None) -> list[Any]:
-        return self._drive(self._g_allgather(value, nbytes, comm))
-
-    def sendrecv(self, dest: int, source: int, nbytes: int = 8, tag: int = 0,
-                 payload: Any = None) -> Any:
-        return self._drive(self._g_sendrecv(dest, source, nbytes, tag, payload))
-
-    def alltoall(self, nbytes_per_peer: int = 8,
-                 comm: Comm | None = None) -> None:
-        return self._drive(self._g_alltoall(nbytes_per_peer, comm))
-
-    def split(self, color: int, key: int | None = None,
-              comm: Comm | None = None) -> Comm:
-        return self._drive(self._g_split(color, key, comm))
-
-    def send(self, peer: int, nbytes: int, tag: int = 0,
-             payload: Any = None) -> None:
-        return self._drive(self._g_send(peer, nbytes, tag, payload))
-
-    def recv(self, peer: int, tag: int = 0) -> Any:
-        return self._drive(self._g_recv(peer, tag))
-
-    def file_open(self, filename: str, mode: str = "rw", unique: bool = False,
-                  comm: Comm | None = None) -> SimFileHandle:
-        return self._drive(self._g_file_open(filename, mode, unique, comm))
-
-
-class CoroContext(_ContextCore):
-    """The MPI world as seen by a single rank (generator API).
-
-    Used by generator rank programs on the coroutine scheduler: every
-    verb returns a generator the program must delegate to with
-    ``yield from``::
-
-        def program(ctx):
-            fh = yield from ctx.file_open("data")
-            yield from fh.write_at(0, 1024)
-            yield from ctx.barrier()
-    """
-
-    _fh_class = CoroFileHandle
-
-    compute = _ContextCore._g_compute
-    _collective = _ContextCore._g_collective
-    barrier = _ContextCore._g_barrier
-    bcast = _ContextCore._g_bcast
-    allreduce = _ContextCore._g_allreduce
-    gather = _ContextCore._g_gather
-    reduce = _ContextCore._g_reduce
-    scatter = _ContextCore._g_scatter
-    allgather = _ContextCore._g_allgather
-    sendrecv = _ContextCore._g_sendrecv
-    alltoall = _ContextCore._g_alltoall
-    split = _ContextCore._g_split
-    send = _ContextCore._g_send
-    recv = _ContextCore._g_recv
-    file_open = _ContextCore._g_file_open

@@ -8,22 +8,11 @@ smallest ``(virtual clock, rank id)``, so a whole run is a pure function
 of the program -- identical traces on every execution (verified by the
 determinism tests).
 
-Two schedulers implement that contract:
-
-* the **coroutine scheduler** (default for generator rank programs):
-  every rank is a generator that *yields* op dicts to a single-threaded
-  event loop -- no threads, no locks, near-zero cost per simulated MPI
-  call.  Rank programs use ``yield from ctx.<verb>(...)`` with a
-  :class:`~repro.simmpi.context.CoroContext`.
-* the **threaded scheduler** (plain-callable rank programs): each rank
-  runs as a Python thread that blocks in :meth:`Engine.submit` between
-  MPI calls.  It predates the coroutine core and remains for programs
-  that cannot be expressed as generators.
-
-Both paths share the op-processing machinery (:meth:`Engine._process_op`
-and the collective/p2p matching), so a generator program produces
-bit-identical traces, clocks and ticks under either scheduler
-(``mode="threads"`` forces the threaded path for the equivalence tests).
+Every rank program is a generator: each MPI verb of the rank's
+:class:`~repro.simmpi.context.RankContext` yields an op dict, and the
+program delegates to it with ``yield from ctx.<verb>(...)``.  One
+single-threaded event loop resumes the ranks with ``gen.send`` -- no
+threads, no locks, near-zero cost per simulated MPI call.
 
 Virtual time is tracked per rank in seconds; *ticks* are per-rank logical
 event counters incremented at every MPI event, exactly the logical time
@@ -38,10 +27,9 @@ simulator (``repro.iosim.Cluster``) in real studies, or the trivial
 from __future__ import annotations
 
 import heapq
-import inspect
-import threading
+from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 from repro import obs
 
@@ -58,7 +46,7 @@ _INIT = "init"
 _RUNNING = "running"
 _WAITING_SCHED = "waiting_sched"  # posted an op, waiting for it to be processed
 _IN_COLLECTIVE = "in_collective"  # arrived at a collective, peers missing
-_WAITING_RESUME = "waiting_resume"  # op processed, waiting for CPU handoff
+_WAITING_RESUME = "waiting_resume"  # op processed, waiting to be resumed
 _DONE = "done"
 _FAILED = "failed"
 
@@ -142,8 +130,6 @@ class _RankState:
     status: str = _INIT
     pending: Any = None
     op_result: Any = None
-    resume_event: threading.Event = field(default_factory=threading.Event)
-    thread: threading.Thread | None = None
     exception: BaseException | None = None
 
 
@@ -217,24 +203,18 @@ class Engine:
     Usage::
 
         eng = Engine(nprocs=4, platform=IdealPlatform())
-        result = eng.run(program)         # program(ctx) per rank
+        result = eng.run(program)   # generator program(ctx) per rank
 
     Event hooks (``add_io_hook``) observe every I/O operation with the full
     record the paper's tracer needs.
     """
 
-    def __init__(self, nprocs: int, platform: Platform | None = None,
-                 mode: str = "auto"):
+    def __init__(self, nprocs: int, platform: Platform | None = None):
         if nprocs <= 0:
             raise MPIUsageError(f"nprocs must be positive, got {nprocs}")
-        if mode not in ("auto", "coro", "threads"):
-            raise MPIUsageError(
-                f"mode must be 'auto', 'coro' or 'threads', got {mode!r}")
         self.nprocs = nprocs
-        self.mode = mode
         self.platform: Platform = platform if platform is not None else IdealPlatform()
         self._states = [_RankState(r) for r in range(nprocs)]
-        self._sched_event = threading.Event()
         self._collectives: dict[tuple, _Collective] = {}
         self._coll_counts: dict[tuple, int] = {}
         self._p2p_queues: dict[tuple, list] = {}  # (src, dst, tag) -> waiting ops
@@ -242,10 +222,8 @@ class Engine:
         self._files: dict[str, Any] = {}  # filename -> fileio.SimFile
         self._next_file_id = 0
         self.world = Comm(range(nprocs), name="world")
-        self._abort = False
-        # Coroutine-scheduler ready heap; None under the threaded
-        # scheduler, whose loop scans statuses itself.
-        self._woken: list[tuple[float, int]] | None = None
+        # Lazy-deletion ready heap of (clock, rank), see _run.
+        self._ready: list[tuple[float, int]] = []
 
     # -- hooks ---------------------------------------------------------------
     def add_io_hook(self, hook: Callable[..., None]) -> None:
@@ -273,32 +251,27 @@ class Engine:
     def run(self, program: Callable, *args: Any) -> RunResult:
         """Execute ``program(ctx, *args)`` on every rank; return RunResult.
 
-        Generator programs (``yield from ctx...``) run on the
-        single-threaded coroutine scheduler; plain callables run on the
-        threaded scheduler.  ``mode="threads"`` forces a generator
-        program onto the threaded path (for equivalence testing);
-        ``mode="coro"`` rejects plain callables, which cannot be
-        suspended without a thread.
+        ``program(ctx, *args)`` must return a generator (a function
+        using ``yield from ctx...``, or any callable returning one, such
+        as a lambda or ``functools.partial`` around such a function);
+        anything else raises :class:`MPIUsageError` before any op runs.
         """
-        is_gen = inspect.isgeneratorfunction(program)
-        mode = self.mode
-        if mode == "auto":
-            mode = "coro" if is_gen else "threads"
-        if mode == "coro" and not is_gen:
-            raise MPIUsageError(
-                "the coroutine scheduler needs a generator rank program "
-                "(one using 'yield from ctx...'); plain callables require "
-                "mode='threads'")
+        from .context import RankContext  # local import to avoid cycle
+
+        gens = [program(RankContext(self, st.rank), *args)
+                for st in self._states]
+        for gen in gens:
+            if not isinstance(gen, Generator):
+                raise MPIUsageError(
+                    f"rank program {program!r} returned "
+                    f"{type(gen).__name__}, not a generator: rank programs "
+                    "call MPI verbs as 'yield from ctx.<verb>(...)'")
         if obs.ACTIVE:
             obs.inc("engine_runs_total")
         run_span = obs.span("engine.run", cat="engine", nprocs=self.nprocs,
-                            platform=type(self.platform).__name__,
-                            scheduler=mode)
-        if mode == "coro":
-            with run_span:
-                self._run_coro(program, args)
-        else:
-            self._run_threads(program, args, is_gen, run_span)
+                            platform=type(self.platform).__name__)
+        with run_span:
+            self._run(gens)
         return self._collect_result(run_span)
 
     def _collect_result(self, run_span: Any) -> RunResult:
@@ -316,32 +289,25 @@ class Engine:
             ticks={st.rank: st.tick for st in self._states},
         )
 
-    # -- coroutine scheduler -----------------------------------------------------
-    def _run_coro(self, program: Callable, args: tuple) -> None:
-        """Single-threaded event loop over generator rank programs.
+    # -- scheduler -------------------------------------------------------------
+    def _run(self, gens: list[Generator]) -> None:
+        """Single-threaded event loop over the ranks' generators.
 
-        Every rank is a generator; ``_WAITING_RESUME`` means "has an op
-        result to consume", and resuming is a plain ``gen.send`` instead
-        of a condition-variable handoff.  The pick rule and the op
-        processing are exactly the threaded scheduler's, so both paths
-        produce identical traces.
+        ``_WAITING_RESUME`` means "has an op result to consume";
+        resuming is a plain ``gen.send`` (or ``gen.throw`` for a failed
+        op).  The loop always acts on the runnable rank with the
+        smallest ``(clock, rank)``.
         """
-        from .context import CoroContext  # local import to avoid cycle
-
         states = self._states
-        gens: dict[int, Generator] = {}
         # Lazy-deletion ready heap of (clock, rank): every rank gets an
         # entry each time it becomes runnable (startup, `_wake`, or after
         # posting an op below), and a rank's clock never changes *while*
         # runnable, so the smallest non-stale entry is exactly the
-        # threaded scheduler's pick -- min (clock, rank) -- in O(log n)
-        # per step instead of an O(n) scan.
-        heap: list[tuple[float, int]] = []
+        # min (clock, rank) pick, in O(log n) per step.
+        heap = self._ready = []
         heappush, heappop = heapq.heappush, heapq.heappop
         heappushpop = heapq.heappushpop
-        self._woken = heap
         for st in states:
-            gens[st.rank] = program(CoroContext(self, st.rank), *args)
             st.status = _WAITING_RESUME
             st.op_result = None
             heappush(heap, (st.clock, st.rank))
@@ -388,9 +354,6 @@ class Engine:
                 except StopIteration:
                     st.status = _DONE
                     n_done += 1
-                except _AbortRun:
-                    st.status = _DONE
-                    n_done += 1
                 except BaseException as exc:  # noqa: BLE001 - reported to caller
                     st.exception = exc
                     st.status = _FAILED
@@ -400,127 +363,14 @@ class Engine:
                     st.status = _WAITING_SCHED
                     handoff = (st.clock, st.rank)
         finally:
-            self._woken = None
             for st in states:
                 if st.status not in (_DONE, _FAILED):
                     gens[st.rank].close()
 
-    # -- threaded scheduler -------------------------------------------------------
-    def _run_threads(self, program: Callable, args: tuple, is_gen: bool,
-                     run_span: Any) -> None:
-        from .context import CoroContext, RankContext  # avoid cycle
-
-        if is_gen:
-            # Drive the generator from a per-rank thread: each yielded op
-            # goes through the same blocking ``submit`` a plain program
-            # would use, which is what makes the two schedulers
-            # trace-equivalent on the same program.
-            def entry(ctx: Any, *a: Any) -> None:
-                drive_blocking(self, ctx.rank, program(ctx, *a))
-
-            contexts: list[Any] = [CoroContext(self, r)
-                                   for r in range(self.nprocs)]
-        else:
-            entry = program
-            contexts = [RankContext(self, r) for r in range(self.nprocs)]
-        for st, ctx in zip(self._states, contexts):
-            st.thread = threading.Thread(
-                target=self._thread_main,
-                args=(st, entry, ctx, args),
-                name=f"simmpi-rank-{st.rank}",
-                daemon=True,
-            )
-            st.status = _WAITING_RESUME
-            st.thread.start()
-
-        try:
-            with run_span:
-                self._scheduler_loop()
-        finally:
-            self._abort = True
-            for st in self._states:
-                st.resume_event.set()
-            for st in self._states:
-                if st.thread is not None:
-                    st.thread.join(timeout=5.0)
-
-    # -- rank thread ------------------------------------------------------------
-    def _thread_main(self, st: _RankState, program: Callable, ctx: Any, args: tuple) -> None:
-        st.resume_event.wait()
-        st.resume_event.clear()
-        if self._abort:
-            st.status = _DONE
-            self._sched_event.set()
-            return
-        try:
-            program(ctx, *args)
-            st.status = _DONE
-        except _AbortRun:
-            st.status = _DONE
-        except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            st.exception = exc
-            st.status = _FAILED
-        finally:
-            self._sched_event.set()
-
-    def submit(self, rank: int, op: Any) -> Any:
-        """Called from a rank thread: post an op and block until processed+resumed."""
-        st = self._states[rank]
-        st.pending = op
-        st.status = _WAITING_SCHED
-        self._sched_event.set()
-        st.resume_event.wait()
-        st.resume_event.clear()
-        if self._abort:
-            raise _AbortRun()
-        st.status = _RUNNING
-        result, st.op_result = st.op_result, None
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    # -- scheduler ---------------------------------------------------------------
-    def _scheduler_loop(self) -> None:
-        states = self._states
-        while True:
-            if any(st.status == _FAILED for st in states):
-                return
-            if all(st.status == _DONE for st in states):
-                return
-            actionable = [
-                st for st in states if st.status in (_WAITING_SCHED, _WAITING_RESUME)
-            ]
-            if not actionable:
-                if any(st.status == _RUNNING for st in states):
-                    # A thread is between states; wait for it to post.
-                    self._sched_event.wait()
-                    self._sched_event.clear()
-                    continue
-                blocked = [st.rank for st in states if st.status == _IN_COLLECTIVE]
-                raise DeadlockError(
-                    f"no runnable rank; ranks {blocked} blocked in collectives "
-                    f"{sorted((c.op, sorted(c.arrived)) for c in self._collectives.values())}"
-                )
-            st = min(actionable, key=lambda s: (s.clock, s.rank))
-            if st.status == _WAITING_SCHED:
-                self._process_op(st)
-            else:  # _WAITING_RESUME: hand the CPU to this rank
-                st.status = _RUNNING
-                self._sched_event.clear()
-                st.resume_event.set()
-                self._sched_event.wait()
-                self._sched_event.clear()
-
     def _wake(self, st: _RankState) -> None:
-        """Mark a rank runnable (clock and op_result must be final).
-
-        Under the coroutine scheduler this also enqueues the rank on
-        the ready heap; the threaded scheduler's loop scans statuses
-        itself and ignores the heap.
-        """
+        """Mark a rank runnable and enqueue it (clock and op_result final)."""
         st.status = _WAITING_RESUME
-        if self._woken is not None:
-            heapq.heappush(self._woken, (st.clock, st.rank))
+        heapq.heappush(self._ready, (st.clock, st.rank))
 
     def _process_op(self, st: _RankState) -> None:
         op = st.pending
@@ -624,42 +474,11 @@ class Engine:
         durations, results = ops[parts[0].rank]["finalize"](t0, ops)
         if obs.ACTIVE:
             obs.observe_collective(coll.op, t0, durations)
-        woken = self._woken
+        ready = self._ready
         for p in parts:
             rank = p.rank
             p.clock = clock = t0 + durations.get(rank, 0.0)
             p.tick += ops[rank].get("ticks", 1)
             p.op_result = results.get(rank)
             p.status = _WAITING_RESUME  # _wake, inlined
-            if woken is not None:
-                heapq.heappush(woken, (clock, rank))
-
-
-class _AbortRun(BaseException):
-    """Internal: unwinds rank threads when the run is torn down."""
-
-
-def drive_blocking(engine: Engine, rank: int, gen: Generator) -> Any:
-    """Run a generator of ops to completion via blocking ``Engine.submit``.
-
-    This is the bridge between the generator-core MPI verbs and the two
-    execution styles: the blocking API (:class:`~repro.simmpi.context.
-    RankContext`) drives each verb's generator through ``submit`` from
-    the calling rank thread, and the threaded scheduler uses it to run
-    whole generator programs for the golden-trace equivalence tests.
-
-    Exceptions produced by an op are thrown *into* the generator so
-    program-level handlers and ``finally`` blocks behave exactly as they
-    do under the coroutine scheduler.
-    """
-    resume, payload = gen.send, None
-    while True:
-        try:
-            op = resume(payload)
-        except StopIteration as stop:
-            return stop.value
-        try:
-            payload = engine.submit(rank, op)
-            resume = gen.send
-        except BaseException as exc:  # noqa: BLE001 - delivered to the program
-            resume, payload = gen.throw, exc
+            heapq.heappush(ready, (clock, rank))

@@ -17,11 +17,9 @@ elementary-type units of the current view), while request sizes are in
 Fig. 2 shows offsets stepping by 265302 (etypes of 40 bytes) while the
 request size column reads 10612080 bytes.
 
-Every operation is implemented once as a generator core (``_g_*`` in
-:class:`_FileHandleCore`) yielding op dicts to the engine.  Two shells
-expose them: :class:`SimFileHandle` (blocking, for plain rank programs
-on the threaded scheduler) and :class:`CoroFileHandle` (generator, for
-``yield from``-style programs on the coroutine scheduler).
+Every operation is a generator yielding op dicts to the engine; rank
+programs delegate to it with ``yield from``, e.g.
+``yield from fh.write_at(0, 1024)``.
 
 Every data operation produces an :class:`IOEvent` delivered to the
 engine's I/O hooks; the tracer (``repro.tracer``) turns those into the
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, NamedTuple
 
 from .datatypes import BYTE, Datatype, FileView
-from .engine import Comm, Engine, IORequest, drive_blocking
+from .engine import Comm, Engine, IORequest
 from .errors import MPIFileError, MPIUsageError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,16 +120,8 @@ class SimFile:
             self.size = end
 
 
-class _FileHandleCore:
-    """A rank's handle onto a simulated file (view + individual pointer).
-
-    Holds all state and the generator cores of every MPI-IO verb; the
-    blocking/coroutine shells below only choose how the yielded ops
-    reach the engine.
-    """
-
-    #: Completion-handle class the nonblocking verbs produce.
-    _req_handle_class: type["IORequestHandle"]
+class SimFileHandle:
+    """A rank's handle onto a simulated file (view + individual pointer)."""
 
     def __init__(self, engine: Engine, ctx: "RankContext", simfile: SimFile,
                  mode: str, comm: Comm):
@@ -148,9 +138,9 @@ class _FileHandleCore:
 
     # -- open / close --------------------------------------------------------------
     @classmethod
-    def _g_open(cls, engine: Engine, ctx: "RankContext", filename: str,
-                mode: str = "rw", unique: bool = False,
-                comm: Comm | None = None) -> Generator:
+    def open(cls, engine: Engine, ctx: "RankContext", filename: str,
+             mode: str = "rw", unique: bool = False,
+             comm: Comm | None = None) -> Generator:
         comm = comm or engine.world
         actual_name = f"{filename}.{ctx.rank}" if unique else filename
         simfile = engine.get_file(actual_name, lambda fid: SimFile(fid, actual_name, unique))
@@ -169,11 +159,11 @@ class _FileHandleCore:
                 dur = platform.comm_time(0, len(ops), "file_open", t0)
                 return {r: dur for r in ops}, {r: None for r in ops}
 
-            yield from ctx._g_collective("file_open", comm, finalize)
+            yield from ctx._collective("file_open", comm, finalize)
         simfile.openers.add(ctx.rank)
         return handle
 
-    def _g_close(self) -> Generator:
+    def close(self) -> Generator:
         """Close the handle (counts as one MPI event, negligible time)."""
         self._check_open()
         self.closed = True
@@ -181,8 +171,8 @@ class _FileHandleCore:
         yield {"kind": "local", "ticks": 0, "fn": lambda start: (0.0, None)}
 
     # -- views ------------------------------------------------------------------------
-    def _g_set_view(self, disp: int = 0, etype: Datatype = BYTE,
-                    filetype: Datatype | None = None) -> Generator:
+    def set_view(self, disp: int = 0, etype: Datatype = BYTE,
+                 filetype: Datatype | None = None) -> Generator:
         """``MPI_File_set_view``: install a (possibly strided) view."""
         self._check_open()
         self.view = FileView(disp=disp, etype=etype, filetype=filetype or etype)
@@ -199,13 +189,13 @@ class _FileHandleCore:
         yield {"kind": "local", "ticks": 0, "fn": lambda start: (0.0, None)}
 
     # -- explicit offset ----------------------------------------------------------------
-    def _g_write_at(self, offset: int, nbytes: int) -> Generator:
-        return self._g_independent_io("write", "explicit", offset, nbytes)
+    def write_at(self, offset: int, nbytes: int) -> Generator:
+        return self._independent_io("write", "explicit", offset, nbytes)
 
-    def _g_read_at(self, offset: int, nbytes: int) -> Generator:
-        return self._g_independent_io("read", "explicit", offset, nbytes)
+    def read_at(self, offset: int, nbytes: int) -> Generator:
+        return self._independent_io("read", "explicit", offset, nbytes)
 
-    def _g_iwrite_at(self, offset: int, nbytes: int) -> Generator:
+    def iwrite_at(self, offset: int, nbytes: int) -> Generator:
         """``MPI_File_iwrite_at``: starts the write, returns a handle.
 
         The operation is charged against the I/O subsystem immediately
@@ -213,20 +203,20 @@ class _FileHandleCore:
         advance until the handle's ``wait`` -- modelling computation/I/O
         overlap.
         """
-        return self._g_nonblocking_io("write", offset, nbytes)
+        return self._nonblocking_io("write", offset, nbytes)
 
-    def _g_iread_at(self, offset: int, nbytes: int) -> Generator:
+    def iread_at(self, offset: int, nbytes: int) -> Generator:
         """``MPI_File_iread_at``: see ``iwrite_at``."""
-        return self._g_nonblocking_io("read", offset, nbytes)
+        return self._nonblocking_io("read", offset, nbytes)
 
-    def _g_write_at_all(self, offset: int, nbytes: int) -> Generator:
-        return self._g_collective_io("write", "explicit", offset, nbytes)
+    def write_at_all(self, offset: int, nbytes: int) -> Generator:
+        return self._collective_io("write", "explicit", offset, nbytes)
 
-    def _g_read_at_all(self, offset: int, nbytes: int) -> Generator:
-        return self._g_collective_io("read", "explicit", offset, nbytes)
+    def read_at_all(self, offset: int, nbytes: int) -> Generator:
+        return self._collective_io("read", "explicit", offset, nbytes)
 
     # -- individual pointer ----------------------------------------------------------------
-    def _g_seek(self, offset: int, whence: str = "set") -> Generator:
+    def seek(self, offset: int, whence: str = "set") -> Generator:
         """``MPI_File_seek`` on the individual pointer (etype units)."""
         self._check_open()
         if whence == "set":
@@ -243,32 +233,32 @@ class _FileHandleCore:
         # Pointer bookkeeping, not a traced MPI event (no tick).
         yield {"kind": "local", "ticks": 0, "fn": lambda start: (0.0, None)}
 
-    def _g_write(self, nbytes: int) -> Generator:
+    def write(self, nbytes: int) -> Generator:
         off = self.individual_pointer
-        yield from self._g_independent_io("write", "individual", off, nbytes)
+        yield from self._independent_io("write", "individual", off, nbytes)
         self.individual_pointer = off + self._etypes(nbytes)
 
-    def _g_read(self, nbytes: int) -> Generator:
+    def read(self, nbytes: int) -> Generator:
         off = self.individual_pointer
-        yield from self._g_independent_io("read", "individual", off, nbytes)
+        yield from self._independent_io("read", "individual", off, nbytes)
         self.individual_pointer = off + self._etypes(nbytes)
 
-    def _g_write_all(self, nbytes: int) -> Generator:
+    def write_all(self, nbytes: int) -> Generator:
         off = self.individual_pointer
-        yield from self._g_collective_io("write", "individual", off, nbytes)
+        yield from self._collective_io("write", "individual", off, nbytes)
         self.individual_pointer = off + self._etypes(nbytes)
 
-    def _g_read_all(self, nbytes: int) -> Generator:
+    def read_all(self, nbytes: int) -> Generator:
         off = self.individual_pointer
-        yield from self._g_collective_io("read", "individual", off, nbytes)
+        yield from self._collective_io("read", "individual", off, nbytes)
         self.individual_pointer = off + self._etypes(nbytes)
 
     # -- shared pointer ----------------------------------------------------------------------
-    def _g_write_shared(self, nbytes: int) -> Generator:
-        return self._g_shared_io("write", nbytes)
+    def write_shared(self, nbytes: int) -> Generator:
+        return self._shared_io("write", nbytes)
 
-    def _g_read_shared(self, nbytes: int) -> Generator:
-        return self._g_shared_io("read", nbytes)
+    def read_shared(self, nbytes: int) -> Generator:
+        return self._shared_io("read", nbytes)
 
     # -- internals ----------------------------------------------------------------------------
     def _check_open(self) -> None:
@@ -331,8 +321,8 @@ class _FileHandleCore:
             OP_NAMES[(kind, addressing, collective)], offset, abs_offset, tick,
             nbytes, start, duration, kind, collective, f.unique)))
 
-    def _g_independent_io(self, kind: str, addressing: str, offset: int,
-                          nbytes: int) -> Generator:
+    def _independent_io(self, kind: str, addressing: str, offset: int,
+                        nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta(addressing, collective=False)
         req = self._build_request(kind, offset, nbytes, collective=False)
@@ -353,8 +343,8 @@ class _FileHandleCore:
 
         yield {"kind": "local", "ticks": 1, "fn": fn}
 
-    def _g_collective_io(self, kind: str, addressing: str, offset: int,
-                         nbytes: int) -> Generator:
+    def _collective_io(self, kind: str, addressing: str, offset: int,
+                       nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta(addressing, collective=True)
         req = self._build_request(kind, offset, nbytes, collective=True)
@@ -381,15 +371,15 @@ class _FileHandleCore:
                                      runs[0][0] if runs else 0)
             return durations, dict.fromkeys(ops)
 
-        # The op dict _ContextCore._g_collective would yield, built here
+        # The op dict RankContext._collective would yield, built here
         # to save a generator level on every resume.
         yield {"kind": "collective", "name": OP_NAMES[(kind, addressing, True)],
                "comm": self.comm, "ticks": 1, "payload": None,
                "finalize": finalize, "req": req, "handle": self,
                "view_offset": offset, "nbytes": nbytes}
 
-    def _g_nonblocking_io(self, kind: str, offset: int,
-                          nbytes: int) -> Generator:
+    def _nonblocking_io(self, kind: str, offset: int,
+                        nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta("explicit", collective=False)
         self.file.meta.used_nonblocking = True
@@ -397,7 +387,7 @@ class _FileHandleCore:
         engine = self._engine
         rank = self._ctx.rank
         simfile = self.file
-        handle = self._req_handle_class(self)
+        handle = IORequestHandle(self)
 
         op_name = "MPI_File_iwrite_at" if kind == "write" else "MPI_File_iread_at"
 
@@ -418,7 +408,7 @@ class _FileHandleCore:
         yield {"kind": "local", "ticks": 1, "fn": fn}
         return handle
 
-    def _g_shared_io(self, kind: str, nbytes: int) -> Generator:
+    def _shared_io(self, kind: str, nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta("shared", collective=False)
         engine = self._engine
@@ -443,96 +433,10 @@ class _FileHandleCore:
         yield {"kind": "local", "ticks": 1, "fn": fn}
 
 
-class SimFileHandle(_FileHandleCore):
-    """Blocking shell over the file-handle core (threaded scheduler)."""
-
-    def _drive(self, gen: Generator) -> Any:
-        return drive_blocking(self._engine, self._ctx.rank, gen)
-
-    @classmethod
-    def open(cls, engine: Engine, ctx: "RankContext", filename: str,
-             mode: str = "rw", unique: bool = False,
-             comm: Comm | None = None) -> "SimFileHandle":
-        return drive_blocking(engine, ctx.rank,
-                              cls._g_open(engine, ctx, filename, mode=mode,
-                                          unique=unique, comm=comm))
-
-    def close(self) -> None:
-        return self._drive(self._g_close())
-
-    def set_view(self, disp: int = 0, etype: Datatype = BYTE,
-                 filetype: Datatype | None = None) -> None:
-        return self._drive(self._g_set_view(disp, etype, filetype))
-
-    def write_at(self, offset: int, nbytes: int) -> None:
-        return self._drive(self._g_write_at(offset, nbytes))
-
-    def read_at(self, offset: int, nbytes: int) -> None:
-        return self._drive(self._g_read_at(offset, nbytes))
-
-    def iwrite_at(self, offset: int, nbytes: int) -> "IORequestHandle":
-        return self._drive(self._g_iwrite_at(offset, nbytes))
-
-    def iread_at(self, offset: int, nbytes: int) -> "IORequestHandle":
-        return self._drive(self._g_iread_at(offset, nbytes))
-
-    def write_at_all(self, offset: int, nbytes: int) -> None:
-        return self._drive(self._g_write_at_all(offset, nbytes))
-
-    def read_at_all(self, offset: int, nbytes: int) -> None:
-        return self._drive(self._g_read_at_all(offset, nbytes))
-
-    def seek(self, offset: int, whence: str = "set") -> None:
-        return self._drive(self._g_seek(offset, whence))
-
-    def write(self, nbytes: int) -> None:
-        return self._drive(self._g_write(nbytes))
-
-    def read(self, nbytes: int) -> None:
-        return self._drive(self._g_read(nbytes))
-
-    def write_all(self, nbytes: int) -> None:
-        return self._drive(self._g_write_all(nbytes))
-
-    def read_all(self, nbytes: int) -> None:
-        return self._drive(self._g_read_all(nbytes))
-
-    def write_shared(self, nbytes: int) -> None:
-        return self._drive(self._g_write_shared(nbytes))
-
-    def read_shared(self, nbytes: int) -> None:
-        return self._drive(self._g_read_shared(nbytes))
-
-
-class CoroFileHandle(_FileHandleCore):
-    """Generator shell over the file-handle core (coroutine scheduler).
-
-    Every method returns a generator to be delegated to with
-    ``yield from``, e.g. ``yield from fh.write_at(0, 1024)``.
-    """
-
-    open = _FileHandleCore._g_open
-    close = _FileHandleCore._g_close
-    set_view = _FileHandleCore._g_set_view
-    write_at = _FileHandleCore._g_write_at
-    read_at = _FileHandleCore._g_read_at
-    iwrite_at = _FileHandleCore._g_iwrite_at
-    iread_at = _FileHandleCore._g_iread_at
-    write_at_all = _FileHandleCore._g_write_at_all
-    read_at_all = _FileHandleCore._g_read_at_all
-    seek = _FileHandleCore._g_seek
-    write = _FileHandleCore._g_write
-    read = _FileHandleCore._g_read
-    write_all = _FileHandleCore._g_write_all
-    read_all = _FileHandleCore._g_read_all
-    write_shared = _FileHandleCore._g_write_shared
-    read_shared = _FileHandleCore._g_read_shared
-
-
 class IORequestHandle:
     """Completion handle for a nonblocking I/O operation (``MPI_Wait``)."""
 
-    def __init__(self, fh: _FileHandleCore):
+    def __init__(self, fh: SimFileHandle):
         self._fh = fh
         self._completion: float | None = None
         self._done = False
@@ -541,7 +445,7 @@ class IORequestHandle:
     def completed(self) -> bool:
         return self._done
 
-    def _g_wait(self) -> Generator:
+    def wait(self) -> Generator:
         """Block until the operation completes (advances virtual time)."""
         if self._done:
             return
@@ -556,10 +460,6 @@ class IORequestHandle:
         # Waiting is synchronization bookkeeping, not a traced data event.
         yield {"kind": "local", "ticks": 0, "fn": fn}
 
-    def wait(self) -> None:
-        """Block until the operation completes (advances virtual time)."""
-        drive_blocking(self._fh._engine, self._fh._ctx.rank, self._g_wait())
-
     def test(self) -> bool:
         """``MPI_Test``: non-blocking completion check."""
         if self._done:
@@ -569,13 +469,3 @@ class IORequestHandle:
             self._done = True
             return True
         return False
-
-
-class CoroIORequestHandle(IORequestHandle):
-    """Generator-style completion handle: ``yield from handle.wait()``."""
-
-    wait = IORequestHandle._g_wait
-
-
-SimFileHandle._req_handle_class = IORequestHandle
-CoroFileHandle._req_handle_class = CoroIORequestHandle

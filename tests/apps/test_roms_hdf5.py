@@ -22,8 +22,8 @@ def run_traced(program, nprocs=4, *args):
 class TestH5File:
     def test_superblock_written_once(self):
         def program(ctx):
-            f = H5File(ctx, "t.h5")
-            f.close()
+            f = yield from H5File.open(ctx, "t.h5")
+            yield from f.close()
 
         events, _ = run_traced(program, 4)
         supers = [e for e in events if e.offset == 0 and e.request_size == 96]
@@ -31,9 +31,11 @@ class TestH5File:
 
     def test_dataset_slabs_cover_extent_disjointly(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                ds = f.create_dataset("x", nbytes=8 * 1000, element_size=8)
-                ds.write_slab()
+            f = yield from H5File.open(ctx, "t.h5")
+            ds = yield from f.create_dataset("x", nbytes=8 * 1000,
+                                             element_size=8)
+            yield from ds.write_slab()
+            yield from f.close()
 
         events, engine = run_traced(program, 4)
         slabs = [(e.abs_offset, e.request_size) for e in events
@@ -45,36 +47,41 @@ class TestH5File:
 
     def test_uneven_slab_split_whole_elements(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                ds = f.create_dataset("x", nbytes=8 * 10, element_size=8)
-                assert sum(ds.slab(r, 3)[1] for r in range(3)) == 80
-                assert all(ds.slab(r, 3)[1] % 8 == 0 for r in range(3))
-                ds.write_slab()
+            f = yield from H5File.open(ctx, "t.h5")
+            ds = yield from f.create_dataset("x", nbytes=8 * 10,
+                                             element_size=8)
+            assert sum(ds.slab(r, 3)[1] for r in range(3)) == 80
+            assert all(ds.slab(r, 3)[1] % 8 == 0 for r in range(3))
+            yield from ds.write_slab()
+            yield from f.close()
 
         run_traced(program, 3)
 
     def test_duplicate_dataset_rejected(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                f.create_dataset("x", 80)
-                f.create_dataset("x", 80)
+            f = yield from H5File.open(ctx, "t.h5")
+            yield from f.create_dataset("x", 80)
+            yield from f.create_dataset("x", 80)
+            yield from f.close()
 
         with pytest.raises(MPIUsageError):
             run_traced(program, 2)
 
     def test_partial_element_rejected(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                f.create_dataset("x", nbytes=81, element_size=8)
+            f = yield from H5File.open(ctx, "t.h5")
+            yield from f.create_dataset("x", nbytes=81, element_size=8)
+            yield from f.close()
 
         with pytest.raises(MPIUsageError):
             run_traced(program, 2)
 
     def test_attributes_are_small_rank0_writes(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                f.attrs["time"] = 1
-                f.attrs["time"] = 2  # overwrite reuses the slot
+            f = yield from H5File.open(ctx, "t.h5")
+            yield from f.attrs.set("time", 1)
+            yield from f.attrs.set("time", 2)  # overwrite reuses the slot
+            yield from f.close()
 
         events, _ = run_traced(program, 4)
         attr_writes = [e for e in events if e.request_size == 64]
@@ -84,21 +91,23 @@ class TestH5File:
 
     def test_read_slab(self):
         def program(ctx):
-            with H5File(ctx, "t.h5", mode="rw") as f:
-                ds = f.create_dataset("x", 8 * 512)
-                ds.write_slab()
-                ds.read_slab()
+            f = yield from H5File.open(ctx, "t.h5", mode="rw")
+            ds = yield from f.create_dataset("x", 8 * 512)
+            yield from ds.write_slab()
+            yield from ds.read_slab()
+            yield from f.close()
 
         events, _ = run_traced(program, 2)
         assert any(e.kind == "read" for e in events)
 
     def test_getitem(self):
         def program(ctx):
-            with H5File(ctx, "t.h5") as f:
-                f.create_dataset("zeta", 80)
-                assert f["zeta"].nbytes == 80
-                with pytest.raises(KeyError):
-                    f["nope"]
+            f = yield from H5File.open(ctx, "t.h5")
+            yield from f.create_dataset("zeta", 80)
+            assert f["zeta"].nbytes == 80
+            with pytest.raises(KeyError):
+                f["nope"]
+            yield from f.close()
 
         run_traced(program, 2)
 

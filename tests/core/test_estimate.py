@@ -25,10 +25,10 @@ MB = 1024 * 1024
 
 
 def app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 32 * MB, 32 * MB)
-    fh.read_at_all(ctx.rank * 32 * MB, 32 * MB)
-    fh.close()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 32 * MB, 32 * MB)
+    yield from fh.read_at_all(ctx.rank * 32 * MB, 32 * MB)
+    yield from fh.close()
 
 
 @pytest.fixture(scope="module")

@@ -9,14 +9,14 @@ from repro.tracer import trace_run
 
 
 def app(ctx):
-    fh = ctx.file_open("data")
+    fh = yield from ctx.file_open("data")
     for k in range(3):
-        ctx.allreduce(1)
-        ctx.allreduce(1)
-        fh.write_at_all(ctx.rank * 300 + k * 100, 100)
+        yield from ctx.allreduce(1)
+        yield from ctx.allreduce(1)
+        yield from fh.write_at_all(ctx.rank * 300 + k * 100, 100)
     for k in range(3):
-        fh.read_at_all(ctx.rank * 300 + k * 100, 100)
-    fh.close()
+        yield from fh.read_at_all(ctx.rank * 300 + k * 100, 100)
+    yield from fh.close()
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,9 @@ class TestModelsEquivalent:
         from repro.core.model import models_equivalent
 
         def app9(ctx):
-            fh = ctx.file_open("data")
-            fh.write_at_all(ctx.rank * 100, 100)
-            fh.close()
+            fh = yield from ctx.file_open("data")
+            yield from fh.write_at_all(ctx.rank * 100, 100)
+            yield from fh.close()
 
         m1 = IOModel.from_trace(trace_run(app9, 4))
         m2 = IOModel.from_trace(trace_run(app9, 9))
@@ -114,14 +114,14 @@ class TestModelsEquivalent:
         from repro.core.model import models_equivalent
 
         def app_a(ctx):
-            fh = ctx.file_open("data")
-            fh.write_at_all(ctx.rank * 100, 100)
-            fh.close()
+            fh = yield from ctx.file_open("data")
+            yield from fh.write_at_all(ctx.rank * 100, 100)
+            yield from fh.close()
 
         def app_b(ctx):
-            fh = ctx.file_open("data")
-            fh.write_at_all(ctx.rank * 200, 200)
-            fh.close()
+            fh = yield from ctx.file_open("data")
+            yield from fh.write_at_all(ctx.rank * 200, 200)
+            yield from fh.close()
 
         m1 = IOModel.from_trace(trace_run(app_a, 4))
         m2 = IOModel.from_trace(trace_run(app_b, 4))

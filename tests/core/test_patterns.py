@@ -18,13 +18,13 @@ MB = 1024 * 1024
 
 
 def app(ctx):
-    fh = ctx.file_open("data")
+    fh = yield from ctx.file_open("data")
     for k in range(2):
-        ctx.allreduce(1)
-        ctx.allreduce(1)
-        fh.write_at_all(ctx.rank * 2 * MB + k * MB, MB)
-    fh.read_at_all(ctx.rank * 2 * MB, MB)
-    fh.close()
+        yield from ctx.allreduce(1)
+        yield from ctx.allreduce(1)
+        yield from fh.write_at_all(ctx.rank * 2 * MB + k * MB, MB)
+    yield from fh.read_at_all(ctx.rank * 2 * MB, MB)
+    yield from fh.close()
 
 
 @pytest.fixture(scope="module")

@@ -19,11 +19,11 @@ MB = 1024 * 1024
 
 
 def app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 24 * MB, 24 * MB)
-    fh.read_at_all(ctx.rank * 24 * MB, 24 * MB)
-    fh.close()
-    ctx.barrier()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 24 * MB, 24 * MB)
+    yield from fh.read_at_all(ctx.rank * 24 * MB, 24 * MB)
+    yield from fh.close()
+    yield from ctx.barrier()
 
 
 class TestStages:

@@ -15,20 +15,20 @@ MB = 1024 * 1024
 
 def mixed_app(ctx):
     """An app with a MADbench-W-style mixed phase."""
-    fh = ctx.file_open("data")
+    fh = yield from ctx.file_open("data")
     base = ctx.rank * 64 * MB
     for k in range(4):
-        fh.seek(base + k * 4 * MB)
-        fh.write(4 * MB)
-        fh.seek(base + 32 * MB + k * 4 * MB)
-        fh.read(4 * MB)
-    fh.close()
+        yield from fh.seek(base + k * 4 * MB)
+        yield from fh.write(4 * MB)
+        yield from fh.seek(base + 32 * MB + k * 4 * MB)
+        yield from fh.read(4 * MB)
+    yield from fh.close()
 
 
 def collective_app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
-    fh.close()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
+    yield from fh.close()
 
 
 class TestReplayPhase:

@@ -16,27 +16,27 @@ MB = 1024 * 1024
 
 
 def collective_app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
-    fh.close()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
+    yield from fh.close()
 
 
 def unique_app(ctx):
-    fh = ctx.file_open("data", unique=True)
-    fh.write_at(0, 4 * MB)
-    fh.close()
+    fh = yield from ctx.file_open("data", unique=True)
+    yield from fh.write_at(0, 4 * MB)
+    yield from fh.close()
 
 
 def mixed_app(ctx):
-    fh = ctx.file_open("data")
+    fh = yield from ctx.file_open("data")
     base = ctx.rank * 64 * MB
-    fh.seek(base)
+    yield from fh.seek(base)
     for k in range(4):
-        fh.seek(base + k * MB)
-        fh.write(MB)
-        fh.seek(base + 32 * MB + k * MB)
-        fh.read(MB)
-    fh.close()
+        yield from fh.seek(base + k * MB)
+        yield from fh.write(MB)
+        yield from fh.seek(base + 32 * MB + k * MB)
+        yield from fh.read(MB)
+    yield from fh.close()
 
 
 def phase_of(app, np_=4):

@@ -58,9 +58,9 @@ class TestValidation:
 
     def test_vanishing_request_rejected(self):
         def tiny(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at_all(ctx.rank, 1)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(ctx.rank, 1)
+            yield from fh.close()
 
         model = IOModel.from_trace(trace_run(tiny, 2))
         with pytest.raises(RescaleError):
@@ -69,9 +69,9 @@ class TestValidation:
     def test_partial_participation_rejected(self):
         def subset(ctx):
             if ctx.rank < 2:
-                fh = ctx.file_open("f", unique=True)
-                fh.write_at(0, 1024)
-                fh.close()
+                fh = yield from ctx.file_open("f", unique=True)
+                yield from fh.write_at(0, 1024)
+                yield from fh.close()
 
         model = IOModel.from_trace(trace_run(subset, 4))
         with pytest.raises(RescaleError):

@@ -18,25 +18,26 @@ MB = 1024 * 1024
 
 
 def seq_writer(ctx):
-    fh = ctx.file_open("data")
-    fh.seek(ctx.rank * 64 * MB)
+    fh = yield from ctx.file_open("data")
+    yield from fh.seek(ctx.rank * 64 * MB)
     for _ in range(8):
-        fh.write(8 * MB)
-    fh.close()
+        yield from fh.write(8 * MB)
+    yield from fh.close()
 
 
 def strided_writer(ctx):
-    fh = ctx.file_open("data")
+    fh = yield from ctx.file_open("data")
     for k in range(8):
-        fh.write_at(ctx.rank * 8 * MB + k * ctx.size * 8 * MB, 8 * MB)
-    fh.close()
+        yield from fh.write_at(ctx.rank * 8 * MB + k * ctx.size * 8 * MB,
+                               8 * MB)
+    yield from fh.close()
 
 
 def small_random_writer(ctx):
-    fh = ctx.file_open("data", unique=True)
+    fh = yield from ctx.file_open("data", unique=True)
     for k in range(6):
-        fh.write_at((k * 7919) % 64 * 1024, 1024)
-    fh.close()
+        yield from fh.write_at((k * 7919) % 64 * 1024, 1024)
+    yield from fh.close()
 
 
 def model_of(app, np_=4):
@@ -66,9 +67,9 @@ class TestClassification:
 
     def test_single_op_phase(self):
         def one_shot(ctx):
-            fh = ctx.file_open("data")
-            fh.write_at_all(ctx.rank * MB, MB)
-            fh.close()
+            fh = yield from ctx.file_open("data")
+            yield from fh.write_at_all(ctx.rank * MB, MB)
+            yield from fh.close()
 
         model = model_of(one_shot)
         sig = classify_phase(model.phases[0])
@@ -78,14 +79,14 @@ class TestClassification:
 
     def test_mixed_unit_is_interleaved(self):
         def mixed(ctx):
-            fh = ctx.file_open("data")
+            fh = yield from ctx.file_open("data")
             base = ctx.rank * 64 * MB
             for k in range(4):
-                fh.seek(base + k * MB)
-                fh.write(MB)
-                fh.seek(base + 32 * MB + k * MB)
-                fh.read(MB)
-            fh.close()
+                yield from fh.seek(base + k * MB)
+                yield from fh.write(MB)
+                yield from fh.seek(base + 32 * MB + k * MB)
+                yield from fh.read(MB)
+            yield from fh.close()
 
         model = model_of(mixed)
         sig = classify_phase(model.phases[0])
@@ -100,17 +101,18 @@ class TestAggregates:
 
     def test_dominant_by_weight(self):
         def two_patterns(ctx):
-            fh = ctx.file_open("data")
+            fh = yield from ctx.file_open("data")
             # a big contiguous run ...
-            fh.seek(ctx.rank * 128 * MB)
+            yield from fh.seek(ctx.rank * 128 * MB)
             for _ in range(8):
-                fh.write(8 * MB)
-            ctx.allreduce(1)
-            ctx.allreduce(1)
+                yield from fh.write(8 * MB)
+            yield from ctx.allreduce(1)
+            yield from ctx.allreduce(1)
             # ... and a tiny strided one
             for k in range(4):
-                fh.write_at(1024 * MB + ctx.rank * 1024 + k * ctx.size * 4096, 1024)
-            fh.close()
+                yield from fh.write_at(
+                    1024 * MB + ctx.rank * 1024 + k * ctx.size * 4096, 1024)
+            yield from fh.close()
 
         model = model_of(two_patterns)
         dom = dominant_signature(model)

@@ -34,10 +34,10 @@ class TestRoundTrip:
 
     def test_unique_files(self):
         def app(ctx):
-            fh = ctx.file_open("out", unique=True)
+            fh = yield from ctx.file_open("out", unique=True)
             for k in range(4):
-                fh.write_at(k * MB, MB)
-            fh.close()
+                yield from fh.write_at(k * MB, MB)
+            yield from fh.close()
 
         m = model_of(app, 3)
         replayed, _ = replay_model(m)
@@ -46,11 +46,11 @@ class TestRoundTrip:
     def test_addressing_preserved(self):
         """Individual-pointer routines replay as individual-pointer ops."""
         def app(ctx):
-            fh = ctx.file_open("f")
-            fh.seek(ctx.rank * 4 * MB)
+            fh = yield from ctx.file_open("f")
+            yield from fh.seek(ctx.rank * 4 * MB)
             for _ in range(4):
-                fh.write(MB)
-            fh.close()
+                yield from fh.write(MB)
+            yield from fh.close()
 
         m = model_of(app, 2)
         replayed, _ = replay_model(m)
@@ -71,9 +71,9 @@ class TestSemantics:
 
     def test_table_offsets_rejected(self):
         def irregular(ctx):
-            fh = ctx.file_open("f", unique=True)
-            fh.write_at([0, 10, 25, 700][ctx.rank], 1024)
-            fh.close()
+            fh = yield from ctx.file_open("f", unique=True)
+            yield from fh.write_at([0, 10, 25, 700][ctx.rank], 1024)
+            yield from fh.close()
 
         m = model_of(irregular, 4)
         # Offsets 0/10/25/700 fit no line -> table fallback -> unsynthesizable.

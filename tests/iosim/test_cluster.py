@@ -60,10 +60,10 @@ class TestEndToEnd:
         cluster = make_nfs_cluster()
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at_all(ctx.rank * MB, MB)
-            fh.close()
-            ctx.barrier()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(ctx.rank * MB, MB)
+            yield from fh.close()
+            yield from ctx.barrier()
 
         result = Engine(4, platform=cluster).run(program)
         assert result.elapsed > 0.0

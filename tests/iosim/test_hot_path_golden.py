@@ -6,9 +6,9 @@ and the iosim stack compute.  This module pins, bit for bit
 (``float.hex``), what a scaled-down IOR replay produces on each of the
 paper's four configurations, for the three access geometries the
 replayer uses (shared-file collective, independent, ``-F`` collective),
-plus the engine-level clocks, ticks and a digest of every I/O event
-under both schedulers.  Any float drift anywhere on the engine ->
-MPI-IO -> two-phase -> FS -> RAID -> disk path fails here.
+plus the engine-level clocks, ticks and a digest of every I/O event.
+Any float drift anywhere on the engine -> MPI-IO -> two-phase -> FS ->
+RAID -> disk path fails here.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ def test_ior_bandwidths(geometry, config):
     assert got == BANDWIDTHS[geometry, config]
 
 
-@pytest.mark.parametrize("mode", ["auto", "threads"])
 @pytest.mark.parametrize("geometry,config", sorted(ENGINE_RUNS))
-def test_engine_run(geometry, config, mode):
-    engine = Engine(6, platform=ALL_CONFIGURATIONS[config](), mode=mode)
+def test_engine_run(geometry, config):
+    engine = Engine(6, platform=ALL_CONFIGURATIONS[config]())
     events = []
     engine.add_io_hook(events.append)
     run = engine.run(ior_program, GEOMETRIES[geometry])

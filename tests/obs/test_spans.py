@@ -74,8 +74,8 @@ class TestWallSpans:
                 t.start()
             for t in threads:
                 t.join()
-        # Rank-thread spans must not adopt the scheduler thread's span
-        # as parent: each thread has its own ancestor stack.
+        # Worker-thread spans must not adopt the main thread's span as
+        # parent: each thread has its own ancestor stack.
         assert all(pid is None for pid in parents.values())
 
     def test_exception_unwinds_stack(self):

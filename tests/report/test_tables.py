@@ -24,9 +24,9 @@ GB = 1024 * MB
 
 
 def app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
-    fh.close()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 8 * MB, 8 * MB)
+    yield from fh.close()
 
 
 def make_row(phase_id=1, **kw):

@@ -17,7 +17,7 @@ class TestReduce:
         got = {}
 
         def program(ctx):
-            got[ctx.rank] = ctx.reduce(ctx.rank + 1, root=2)
+            got[ctx.rank] = yield from ctx.reduce(ctx.rank + 1, root=2)
 
         run(program)
         assert got[2] == 10
@@ -27,7 +27,7 @@ class TestReduce:
         got = {}
 
         def program(ctx):
-            got[ctx.rank] = ctx.reduce(ctx.rank, root=0, op=max)
+            got[ctx.rank] = yield from ctx.reduce(ctx.rank, root=0, op=max)
 
         run(program)
         assert got[0] == 3
@@ -39,7 +39,7 @@ class TestScatter:
 
         def program(ctx):
             values = [f"v{i}" for i in range(ctx.size)] if ctx.rank == 1 else None
-            got[ctx.rank] = ctx.scatter(values, root=1)
+            got[ctx.rank] = yield from ctx.scatter(values, root=1)
 
         run(program)
         assert got == {0: "v0", 1: "v1", 2: "v2", 3: "v3"}
@@ -47,7 +47,7 @@ class TestScatter:
     def test_wrong_length_rejected(self):
         def program(ctx):
             values = [1, 2] if ctx.rank == 0 else None
-            ctx.scatter(values, root=0)
+            yield from ctx.scatter(values, root=0)
 
         with pytest.raises(MPIUsageError):
             run(program)
@@ -58,7 +58,7 @@ class TestAllgather:
         got = {}
 
         def program(ctx):
-            got[ctx.rank] = ctx.allgather(ctx.rank * 10)
+            got[ctx.rank] = yield from ctx.allgather(ctx.rank * 10)
 
         run(program)
         assert all(v == [0, 10, 20, 30] for v in got.values())
@@ -71,7 +71,7 @@ class TestSendrecv:
         def program(ctx):
             right = (ctx.rank + 1) % ctx.size
             left = (ctx.rank - 1) % ctx.size
-            got[ctx.rank] = ctx.sendrecv(dest=right, source=left,
+            got[ctx.rank] = yield from ctx.sendrecv(dest=right, source=left,
                                          payload=f"from{ctx.rank}")
 
         run(program, 4)
@@ -83,7 +83,7 @@ class TestSendrecv:
         def program(ctx):
             right = (ctx.rank + 1) % ctx.size
             left = (ctx.rank - 1) % ctx.size
-            got[ctx.rank] = ctx.sendrecv(dest=right, source=left,
+            got[ctx.rank] = yield from ctx.sendrecv(dest=right, source=left,
                                          payload=ctx.rank)
 
         run(program, 5)
@@ -94,7 +94,7 @@ class TestSendrecv:
 
         def program(ctx):
             peer = ctx.rank ^ 1
-            got[ctx.rank] = ctx.sendrecv(dest=peer, source=peer,
+            got[ctx.rank] = yield from ctx.sendrecv(dest=peer, source=peer,
                                          payload=ctx.rank)
 
         run(program, 4)

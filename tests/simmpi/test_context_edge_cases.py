@@ -30,7 +30,7 @@ class TestCommValidation:
     def test_collective_on_foreign_comm_rejected(self):
         def program(ctx):
             foreign = Comm([ctx.size + 1, ctx.size + 2])
-            ctx.barrier(foreign)
+            yield from ctx.barrier(foreign)
 
         with pytest.raises(MPIUsageError):
             run(program, 2)
@@ -39,19 +39,19 @@ class TestCommValidation:
 class TestRootValidation:
     def test_bcast_root_outside_comm(self):
         def program(ctx):
-            sub = ctx.split(color=0 if ctx.rank < 2 else 1)
+            sub = yield from ctx.split(color=0 if ctx.rank < 2 else 1)
             if ctx.rank < 2:
                 # Root 3 is not in the {0,1} subcomm.
-                ctx.bcast("x", root=3, comm=sub)
+                yield from ctx.bcast("x", root=3, comm=sub)
 
         with pytest.raises(MPIUsageError):
             run(program, 4)
 
     def test_reduce_root_outside_comm(self):
         def program(ctx):
-            sub = ctx.split(color=0 if ctx.rank < 2 else 1)
+            sub = yield from ctx.split(color=0 if ctx.rank < 2 else 1)
             if ctx.rank < 2:
-                ctx.reduce(1, root=2, comm=sub)
+                yield from ctx.reduce(1, root=2, comm=sub)
 
         with pytest.raises(MPIUsageError):
             run(program, 4)
@@ -62,21 +62,21 @@ class TestSingleRankWorld:
         got = {}
 
         def program(ctx):
-            ctx.barrier()
-            got["sum"] = ctx.allreduce(7)
-            got["bcast"] = ctx.bcast("solo")
-            got["gather"] = ctx.gather(1, root=0)
-            got["all"] = ctx.allgather("x")
+            yield from ctx.barrier()
+            got["sum"] = yield from ctx.allreduce(7)
+            got["bcast"] = yield from ctx.bcast("solo")
+            got["gather"] = yield from ctx.gather(1, root=0)
+            got["all"] = yield from ctx.allgather("x")
 
         run(program, 1)
         assert got == {"sum": 7, "bcast": "solo", "gather": [1], "all": ["x"]}
 
     def test_io_on_single_rank(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at_all(0, 4096)
-            fh.read_at_all(0, 4096)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(0, 4096)
+            yield from fh.read_at_all(0, 4096)
+            yield from fh.close()
 
         result = run(program, 1)
         assert result.elapsed > 0
@@ -86,9 +86,9 @@ class TestRepeatedRuns:
     def test_engine_instance_not_reusable_state_isolated(self):
         """Two engines never share file registries or clocks."""
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_shared(100)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_shared(100)
+            yield from fh.close()
 
         e1 = Engine(2, platform=IdealPlatform())
         e1.run(program)
@@ -100,10 +100,10 @@ class TestRepeatedRuns:
     def test_many_ranks(self):
         """A 32-rank world schedules deterministically."""
         def program(ctx):
-            ctx.allreduce(ctx.rank)
-            fh = ctx.file_open("f")
-            fh.write_at_all(ctx.rank * 1024, 1024)
-            fh.close()
+            yield from ctx.allreduce(ctx.rank)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(ctx.rank * 1024, 1024)
+            yield from fh.close()
 
         r1 = run(program, 32)
         r2 = run(program, 32)

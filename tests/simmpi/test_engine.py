@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.apps.ior import IORParams, ior_program
 from repro.simmpi import (
     CollectiveMismatch,
     DeadlockError,
@@ -28,6 +31,7 @@ class TestBasics:
 
         def program(ctx):
             seen.append((ctx.rank, ctx.size))
+            yield from ()  # a rank program is a generator, even with no ops
 
         run(program, 3)
         assert sorted(seen) == [(0, 3), (1, 3), (2, 3)]
@@ -36,7 +40,7 @@ class TestBasics:
         clocks, ticks = {}, {}
 
         def program(ctx):
-            ctx.compute(1.5)
+            yield from ctx.compute(1.5)
             clocks[ctx.rank] = ctx.clock
             ticks[ctx.rank] = ctx.tick
 
@@ -46,14 +50,14 @@ class TestBasics:
 
     def test_negative_compute_rejected(self):
         def program(ctx):
-            ctx.compute(-1.0)
+            yield from ctx.compute(-1.0)
 
         with pytest.raises(MPIUsageError):
             run(program, 1)
 
     def test_elapsed_is_max_clock(self):
         def program(ctx):
-            ctx.compute(float(ctx.rank))
+            yield from ctx.compute(float(ctx.rank))
 
         result = run(program, 4)
         assert result.elapsed == pytest.approx(3.0)
@@ -62,7 +66,7 @@ class TestBasics:
         def program(ctx):
             if ctx.rank == 2:
                 raise ValueError("boom")
-            ctx.compute(0.1)
+            yield from ctx.compute(0.1)
 
         with pytest.raises(RankFailedError) as exc_info:
             run(program, 4)
@@ -74,9 +78,9 @@ class TestDeterminism:
     def test_identical_runs(self):
         def program(ctx):
             for i in range(5):
-                ctx.compute(0.01 * (ctx.rank + 1))
-                ctx.allreduce(ctx.rank)
-                ctx.barrier()
+                yield from ctx.compute(0.01 * (ctx.rank + 1))
+                yield from ctx.allreduce(ctx.rank)
+                yield from ctx.barrier()
 
         r1 = run(program, 4)
         r2 = run(program, 4)
@@ -87,10 +91,10 @@ class TestDeterminism:
         from tests.conftest import make_nfs_cluster
 
         def program(ctx):
-            fh = ctx.file_open("f")
+            fh = yield from ctx.file_open("f")
             for i in range(3):
-                fh.write_at_all(ctx.rank * 4096 + i * 1024, 1024)
-            fh.close()
+                yield from fh.write_at_all(ctx.rank * 4096 + i * 1024, 1024)
+            yield from fh.close()
 
         streams = []
         for _ in range(2):
@@ -107,8 +111,8 @@ class TestCollectives:
         clocks = {}
 
         def program(ctx):
-            ctx.compute(float(ctx.rank))  # ranks drift apart
-            ctx.barrier()
+            yield from ctx.compute(float(ctx.rank))  # ranks drift apart
+            yield from ctx.barrier()
             clocks[ctx.rank] = ctx.clock
 
         run(program, 4)
@@ -120,7 +124,7 @@ class TestCollectives:
 
         def program(ctx):
             value = f"payload-{ctx.rank}" if ctx.rank == 1 else None
-            got[ctx.rank] = ctx.bcast(value, root=1)
+            got[ctx.rank] = yield from ctx.bcast(value, root=1)
 
         run(program, 4)
         assert all(v == "payload-1" for v in got.values())
@@ -129,8 +133,8 @@ class TestCollectives:
         sums, maxes = {}, {}
 
         def program(ctx):
-            sums[ctx.rank] = ctx.allreduce(ctx.rank + 1)
-            maxes[ctx.rank] = ctx.allreduce(ctx.rank, op=max)
+            sums[ctx.rank] = yield from ctx.allreduce(ctx.rank + 1)
+            maxes[ctx.rank] = yield from ctx.allreduce(ctx.rank, op=max)
 
         run(program, 4)
         assert set(sums.values()) == {10}
@@ -140,7 +144,7 @@ class TestCollectives:
         got = {}
 
         def program(ctx):
-            got[ctx.rank] = ctx.gather(ctx.rank * 10, root=2)
+            got[ctx.rank] = yield from ctx.gather(ctx.rank * 10, root=2)
 
         run(program, 4)
         assert got[2] == [0, 10, 20, 30]
@@ -150,10 +154,10 @@ class TestCollectives:
         ticks = {}
 
         def program(ctx):
-            ctx.barrier()
-            ctx.allreduce(1)
-            ctx.compute(0.1)  # not an MPI event
-            ctx.barrier()
+            yield from ctx.barrier()
+            yield from ctx.allreduce(1)
+            yield from ctx.compute(0.1)  # not an MPI event
+            yield from ctx.barrier()
             ticks[ctx.rank] = ctx.tick
 
         run(program, 2)
@@ -162,9 +166,9 @@ class TestCollectives:
     def test_collective_mismatch_detected(self):
         def program(ctx):
             if ctx.rank == 0:
-                ctx.barrier()
+                yield from ctx.barrier()
             else:
-                ctx.allreduce(1)
+                yield from ctx.allreduce(1)
 
         with pytest.raises(CollectiveMismatch):
             run(program, 2)
@@ -173,9 +177,9 @@ class TestCollectives:
         comms = {}
 
         def program(ctx):
-            comm = ctx.split(color=ctx.rank % 2)
+            comm = yield from ctx.split(color=ctx.rank % 2)
             comms[ctx.rank] = comm
-            ctx.barrier(comm)
+            yield from ctx.barrier(comm)
 
         run(program, 4)
         assert comms[0].world_ranks == (0, 2)
@@ -187,9 +191,9 @@ class TestCollectives:
         done = []
 
         def program(ctx):
-            comm = ctx.split(color=0 if ctx.rank < 2 else 1)
+            comm = yield from ctx.split(color=0 if ctx.rank < 2 else 1)
             for _ in range(3):
-                ctx.barrier(comm)
+                yield from ctx.barrier(comm)
             done.append(ctx.rank)
 
         run(program, 4)
@@ -198,7 +202,7 @@ class TestCollectives:
     def test_deadlock_detected_when_subset_enters_world_barrier(self):
         def program(ctx):
             if ctx.rank == 0:
-                ctx.barrier()
+                yield from ctx.barrier()
             # other ranks simply finish
 
         with pytest.raises(DeadlockError):
@@ -211,9 +215,9 @@ class TestPointToPoint:
 
         def program(ctx):
             if ctx.rank == 0:
-                ctx.send(1, nbytes=64, payload={"x": 42})
+                yield from ctx.send(1, nbytes=64, payload={"x": 42})
             elif ctx.rank == 1:
-                got[1] = ctx.recv(0)
+                got[1] = yield from ctx.recv(0)
 
         run(program, 2)
         assert got[1] == {"x": 42}
@@ -223,10 +227,10 @@ class TestPointToPoint:
 
         def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(2.0)
-                ctx.send(1, nbytes=8)
+                yield from ctx.compute(2.0)
+                yield from ctx.send(1, nbytes=8)
             else:
-                ctx.recv(0)
+                yield from ctx.recv(0)
             clocks[ctx.rank] = ctx.clock
 
         run(program, 2)
@@ -234,14 +238,14 @@ class TestPointToPoint:
 
     def test_self_send_rejected(self):
         def program(ctx):
-            ctx.send(ctx.rank, nbytes=8)
+            yield from ctx.send(ctx.rank, nbytes=8)
 
         with pytest.raises(MPIUsageError):
             run(program, 2)
 
     def test_peer_out_of_range(self):
         def program(ctx):
-            ctx.recv(99)
+            yield from ctx.recv(99)
 
         with pytest.raises(MPIUsageError):
             run(program, 2)
@@ -253,11 +257,60 @@ class TestPointToPoint:
 
         def program(ctx):
             if ctx.rank == 0:
-                ctx.send(1, nbytes=8, tag=7, payload="seven")
-                ctx.send(1, nbytes=8, tag=9, payload="nine")
+                yield from ctx.send(1, nbytes=8, tag=7, payload="seven")
+                yield from ctx.send(1, nbytes=8, tag=9, payload="nine")
             else:
-                got["t7"] = ctx.recv(0, tag=7)
-                got["t9"] = ctx.recv(0, tag=9)
+                got["t7"] = yield from ctx.recv(0, tag=7)
+                got["t9"] = yield from ctx.recv(0, tag=9)
 
         run(program, 2)
         assert got == {"t7": "seven", "t9": "nine"}
+
+
+class TestProgramForms:
+    """Any callable returning a generator is a rank program."""
+
+    PARAMS = IORParams(np=4, block_size=4 * 1024 * 1024,
+                       transfer_size=1024 * 1024)
+
+    class Wrapper:
+        def __init__(self, params):
+            self.params = params
+
+        def __call__(self, ctx):
+            return ior_program(ctx, self.params)
+
+    @staticmethod
+    def traced(program, *args):
+        events = []
+        engine = Engine(4, platform=IdealPlatform())
+        engine.add_io_hook(events.append)
+        result = engine.run(program, *args)
+        return events, result.clocks, result.ticks
+
+    @pytest.mark.parametrize("form", ["lambda", "callable_object", "partial"])
+    def test_wrapped_generator_program_runs(self, form):
+        params = self.PARAMS
+        program = {
+            "lambda": lambda ctx: ior_program(ctx, params),
+            "callable_object": self.Wrapper(params),
+            "partial": functools.partial(ior_program, params=params),
+        }[form]
+        direct = self.traced(ior_program, params)
+        assert len(direct[0]) == 32
+        assert direct[1][0] == pytest.approx(0.08518608)
+        assert set(direct[2].values()) == {13}
+        assert self.traced(program) == direct
+
+    def test_plain_function_rejected_before_any_op(self):
+        def plain(ctx):
+            ctx.barrier()  # builds a generator that is never driven
+
+        engine = Engine(2, platform=IdealPlatform())
+        events = []
+        engine.add_io_hook(events.append)
+        with pytest.raises(MPIUsageError, match="not a generator"):
+            engine.run(plain)
+        assert events == []
+        assert all(st.tick == 0 and st.clock == 0.0
+                   for st in engine._states)

@@ -29,21 +29,21 @@ OPS = st.lists(
 
 def interpret(script):
     def program(ctx):
-        fh = ctx.file_open("f")
+        fh = yield from ctx.file_open("f")
         for op, arg in script:
             if op == "compute":
-                ctx.compute(arg)
+                yield from ctx.compute(arg)
             elif op == "barrier":
-                ctx.barrier()
+                yield from ctx.barrier()
             elif op == "allreduce":
-                ctx.allreduce(arg)
+                yield from ctx.allreduce(arg)
             elif op == "bcast":
-                ctx.bcast(arg if ctx.rank == 0 else None, root=0)
+                yield from ctx.bcast(arg if ctx.rank == 0 else None, root=0)
             elif op == "write":
-                fh.write_at_all(ctx.rank * 64 * 1024, arg * 1024)
+                yield from fh.write_at_all(ctx.rank * 64 * 1024, arg * 1024)
             elif op == "read":
-                fh.read_at(ctx.rank * 64 * 1024, arg * 1024)
-        fh.close()
+                yield from fh.read_at(ctx.rank * 64 * 1024, arg * 1024)
+        yield from fh.close()
 
     return program
 

@@ -19,9 +19,9 @@ def run_traced(program, nprocs=2, *args):
 class TestExplicitOffset:
     def test_write_at_event(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at(100, 50)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at(100, 50)
+            yield from fh.close()
 
         events, _ = run_traced(program, 1)
         (e,) = events
@@ -32,10 +32,10 @@ class TestExplicitOffset:
 
     def test_collective_names(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at_all(0, 10)
-            fh.read_at_all(0, 10)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(0, 10)
+            yield from fh.read_at_all(0, 10)
+            yield from fh.close()
 
         events, _ = run_traced(program, 2)
         names = {e.op for e in events}
@@ -45,10 +45,10 @@ class TestExplicitOffset:
     def test_etype_units(self):
         """Explicit offsets count etypes; Fig. 2's 265302/10612080 pairing."""
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.set_view(disp=0, etype=Basic(40))
-            fh.write_at(265302, 10612080)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.set_view(disp=0, etype=Basic(40))
+            yield from fh.write_at(265302, 10612080)
+            yield from fh.close()
 
         events, _ = run_traced(program, 1)
         (e,) = events
@@ -60,11 +60,11 @@ class TestExplicitOffset:
 class TestIndividualPointer:
     def test_sequential_writes_advance_pointer(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.seek(10)
-            fh.write(5)
-            fh.write(5)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.seek(10)
+            yield from fh.write(5)
+            yield from fh.write(5)
+            yield from fh.close()
 
         events, _ = run_traced(program, 1)
         assert [e.offset for e in events] == [10, 15]
@@ -74,33 +74,33 @@ class TestIndividualPointer:
         offsets = []
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.seek(100)
-            fh.seek(20, "cur")
+            fh = yield from ctx.file_open("f")
+            yield from fh.seek(100)
+            yield from fh.seek(20, "cur")
             offsets.append(fh.individual_pointer)
-            fh.write(10)
-            fh.seek(-5, "cur")
+            yield from fh.write(10)
+            yield from fh.seek(-5, "cur")
             offsets.append(fh.individual_pointer)
-            fh.close()
+            yield from fh.close()
 
         run_traced(program, 1)
         assert offsets == [120, 125]
 
     def test_seek_negative_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.seek(-1)
+            fh = yield from ctx.file_open("f")
+            yield from fh.seek(-1)
 
         with pytest.raises(MPIFileError):
             run_traced(program, 1)
 
     def test_pointer_in_etype_units(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.set_view(etype=Basic(8))
-            fh.write(16)  # 2 etypes
+            fh = yield from ctx.file_open("f")
+            yield from fh.set_view(etype=Basic(8))
+            yield from fh.write(16)  # 2 etypes
             assert fh.individual_pointer == 2
-            fh.close()
+            yield from fh.close()
 
         run_traced(program, 1)
 
@@ -108,11 +108,11 @@ class TestIndividualPointer:
         ticks = {}
 
         def program(ctx):
-            fh = ctx.file_open("f")  # 1 tick (collective open)
-            fh.seek(10)
-            fh.set_view()
-            fh.write(4)  # 1 tick
-            fh.close()
+            fh = yield from ctx.file_open("f")  # 1 tick (collective open)
+            yield from fh.seek(10)
+            yield from fh.set_view()
+            yield from fh.write(4)  # 1 tick
+            yield from fh.close()
             ticks[ctx.rank] = ctx.tick
 
         run_traced(program, 1)
@@ -122,8 +122,8 @@ class TestIndividualPointer:
 class TestSharedPointer:
     def test_shared_pointer_serializes(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_shared(100)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_shared(100)
 
         events, engine = run_traced(program, 4)
         offsets = sorted(e.offset for e in events)
@@ -132,9 +132,9 @@ class TestSharedPointer:
 
     def test_shared_op_name(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_shared(10)
-            fh.read_shared(10)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_shared(10)
+            yield from fh.read_shared(10)
 
         events, _ = run_traced(program, 1)
         assert [e.op for e in events] == [
@@ -144,42 +144,42 @@ class TestSharedPointer:
 class TestValidation:
     def test_write_on_readonly_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f", mode="r")
-            fh.write_at(0, 10)
+            fh = yield from ctx.file_open("f", mode="r")
+            yield from fh.write_at(0, 10)
 
         with pytest.raises(MPIFileError):
             run_traced(program, 1)
 
     def test_read_on_writeonly_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f", mode="w")
-            fh.read_at(0, 10)
+            fh = yield from ctx.file_open("f", mode="w")
+            yield from fh.read_at(0, 10)
 
         with pytest.raises(MPIFileError):
             run_traced(program, 1)
 
     def test_closed_file_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.close()
-            fh.write_at(0, 10)
+            fh = yield from ctx.file_open("f")
+            yield from fh.close()
+            yield from fh.write_at(0, 10)
 
         with pytest.raises(MPIFileError):
             run_traced(program, 1)
 
     def test_zero_size_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at(0, 0)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at(0, 0)
 
         with pytest.raises(MPIUsageError):
             run_traced(program, 1)
 
     def test_partial_etype_rejected(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.set_view(etype=Basic(8))
-            fh.write_at(0, 12)  # 1.5 etypes
+            fh = yield from ctx.file_open("f")
+            yield from fh.set_view(etype=Basic(8))
+            yield from fh.write_at(0, 12)  # 1.5 etypes
 
         with pytest.raises(MPIUsageError):
             run_traced(program, 1)
@@ -188,8 +188,8 @@ class TestValidation:
 class TestFilesAndMetadata:
     def test_unique_files_get_rank_suffix(self):
         def program(ctx):
-            fh = ctx.file_open("out", unique=True)
-            fh.write_at(0, 10)
+            fh = yield from ctx.file_open("out", unique=True)
+            yield from fh.write_at(0, 10)
 
         events, engine = run_traced(program, 3)
         assert sorted(engine.files) == ["out.0", "out.1", "out.2"]
@@ -197,18 +197,18 @@ class TestFilesAndMetadata:
 
     def test_file_size_grows_to_written_extent(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at(ctx.rank * 100, 100)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at(ctx.rank * 100, 100)
 
         _, engine = run_traced(program, 4)
         assert engine.files["f"].size == 400
 
     def test_metadata_flags(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at_all(0, 8)
-            fh.seek(ctx.rank)
-            fh.read(4)
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at_all(0, 8)
+            yield from fh.seek(ctx.rank)
+            yield from fh.read(4)
 
         _, engine = run_traced(program, 2)
         meta = engine.files["f"].meta
@@ -219,11 +219,11 @@ class TestFilesAndMetadata:
 
     def test_strided_view_sets_access_mode(self):
         def program(ctx):
-            fh = ctx.file_open("f")
+            fh = yield from ctx.file_open("f")
             et = Basic(40)
-            fh.set_view(disp=ctx.rank * 40,
+            yield from fh.set_view(disp=ctx.rank * 40,
                         etype=et, filetype=Vector(4, 1, 2, et))
-            fh.write_at(0, 40)
+            yield from fh.write_at(0, 40)
 
         _, engine = run_traced(program, 2)
         meta = engine.files["f"].meta
@@ -234,10 +234,10 @@ class TestFilesAndMetadata:
         """Each rank's strided block lands at its interleaved position."""
         def program(ctx):
             et = Basic(10)
-            fh = ctx.file_open("f")
-            fh.set_view(disp=ctx.rank * 10,
+            fh = yield from ctx.file_open("f")
+            yield from fh.set_view(disp=ctx.rank * 10,
                         etype=et, filetype=Vector(3, 1, 2, et))
-            fh.write_at_all(1, 10)  # second block of each rank
+            yield from fh.write_at_all(1, 10)  # second block of each rank
 
         events, _ = run_traced(program, 2)
         by_rank = {e.rank: e.abs_offset for e in events}

@@ -23,13 +23,13 @@ class TestOverlap:
         durations = {}
 
         def program(ctx):
-            fh = ctx.file_open("f")
+            fh = yield from ctx.file_open("f")
             # 100 MB at 100 MB/s platform -> ~1 s of I/O.
-            h = fh.iwrite_at(0, 100 * MB)
-            ctx.compute(0.4)  # overlapped computation
-            h.wait()
+            h = yield from fh.iwrite_at(0, 100 * MB)
+            yield from ctx.compute(0.4)  # overlapped computation
+            yield from h.wait()
             durations["overlap"] = ctx.clock
-            fh.close()
+            yield from fh.close()
 
         run_traced(program)
         # ~1.0 s total, NOT 1.4 s.
@@ -39,29 +39,29 @@ class TestOverlap:
         clock = {}
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            h = fh.iwrite_at(0, 10 * MB)  # ~0.1 s
-            ctx.compute(2.0)
-            h.wait()  # already complete: free
+            fh = yield from ctx.file_open("f")
+            h = yield from fh.iwrite_at(0, 10 * MB)  # ~0.1 s
+            yield from ctx.compute(2.0)
+            yield from h.wait()  # already complete: free
             clock["t"] = ctx.clock
-            fh.close()
+            yield from fh.close()
 
         run_traced(program)
         assert clock["t"] == pytest.approx(2.0, rel=0.05)
 
     def test_blocking_equivalent_is_slower(self):
         def nb(ctx):
-            fh = ctx.file_open("f")
-            h = fh.iwrite_at(0, 100 * MB)
-            ctx.compute(0.9)
-            h.wait()
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            h = yield from fh.iwrite_at(0, 100 * MB)
+            yield from ctx.compute(0.9)
+            yield from h.wait()
+            yield from fh.close()
 
         def blocking(ctx):
-            fh = ctx.file_open("f")
-            fh.write_at(0, 100 * MB)
-            ctx.compute(0.9)
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from fh.write_at(0, 100 * MB)
+            yield from ctx.compute(0.9)
+            yield from fh.close()
 
         _, _, r_nb = run_traced(nb)
         _, _, r_b = run_traced(blocking)
@@ -71,10 +71,10 @@ class TestOverlap:
 class TestSemantics:
     def test_event_emitted_with_op_name(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            fh.iwrite_at(5, 1024).wait()
-            fh.iread_at(5, 1024).wait()
-            fh.close()
+            fh = yield from ctx.file_open("f")
+            yield from (yield from fh.iwrite_at(5, 1024)).wait()
+            yield from (yield from fh.iread_at(5, 1024)).wait()
+            yield from fh.close()
 
         events, engine, _ = run_traced(program)
         assert [e.op for e in events] == \
@@ -85,13 +85,13 @@ class TestSemantics:
         clocks = []
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            h = fh.iwrite_at(0, 10 * MB)
-            h.wait()
+            fh = yield from ctx.file_open("f")
+            h = yield from fh.iwrite_at(0, 10 * MB)
+            yield from h.wait()
             clocks.append(ctx.clock)
-            h.wait()
+            yield from h.wait()
             clocks.append(ctx.clock)
-            fh.close()
+            yield from fh.close()
 
         run_traced(program)
         assert clocks[0] == clocks[1]
@@ -100,12 +100,12 @@ class TestSemantics:
         observed = []
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            h = fh.iwrite_at(0, 100 * MB)  # ~1 s
+            fh = yield from ctx.file_open("f")
+            h = yield from fh.iwrite_at(0, 100 * MB)  # ~1 s
             observed.append(h.test())  # immediately: not complete
-            ctx.compute(2.0)
+            yield from ctx.compute(2.0)
             observed.append(h.test())  # after 2 s: complete
-            fh.close()
+            yield from fh.close()
 
         run_traced(program)
         assert observed == [False, True]
@@ -114,22 +114,22 @@ class TestSemantics:
         ticks = {}
 
         def program(ctx):
-            fh = ctx.file_open("f")  # tick 1
-            h = fh.iwrite_at(0, 1024)  # tick 2
-            h.wait()  # no tick
+            fh = yield from ctx.file_open("f")  # tick 1
+            h = yield from fh.iwrite_at(0, 1024)  # tick 2
+            yield from h.wait()  # no tick
             ticks["t"] = ctx.tick
-            fh.close()
+            yield from fh.close()
 
         run_traced(program)
         assert ticks["t"] == 2
 
     def test_file_grows_at_issue(self):
         def program(ctx):
-            fh = ctx.file_open("f")
-            h = fh.iwrite_at(0, 4096)
+            fh = yield from ctx.file_open("f")
+            h = yield from fh.iwrite_at(0, 4096)
             assert fh.file.size == 4096  # growth visible before wait
-            h.wait()
-            fh.close()
+            yield from h.wait()
+            yield from fh.close()
 
         run_traced(program)
 
@@ -141,13 +141,13 @@ class TestSemantics:
         clock = {}
 
         def program(ctx):
-            fh = ctx.file_open("f")
-            h1 = fh.iwrite_at(0, 50 * MB)
-            h2 = fh.iwrite_at(50 * MB, 50 * MB)
-            h1.wait()
-            h2.wait()
+            fh = yield from ctx.file_open("f")
+            h1 = yield from fh.iwrite_at(0, 50 * MB)
+            h2 = yield from fh.iwrite_at(50 * MB, 50 * MB)
+            yield from h1.wait()
+            yield from h2.wait()
             clock["t"] = ctx.clock
-            fh.close()
+            yield from fh.close()
 
         run_traced(program, platform=make_nfs_cluster())
         # 100 MB through a ~1 GbE NFS path: at least ~0.8 s -- the two

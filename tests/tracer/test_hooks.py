@@ -12,12 +12,12 @@ from repro.tracer import TraceBundle, Tracer, trace_run
 
 
 def simple_app(ctx):
-    fh = ctx.file_open("data")
-    fh.write_at_all(ctx.rank * 1024, 1024)
-    fh.seek(ctx.rank * 10)
-    fh.read(100)
-    fh.close()
-    ctx.barrier()
+    fh = yield from ctx.file_open("data")
+    yield from fh.write_at_all(ctx.rank * 1024, 1024)
+    yield from fh.seek(ctx.rank * 10)
+    yield from fh.read(100)
+    yield from fh.close()
+    yield from ctx.barrier()
 
 
 class TestTracer:
@@ -132,7 +132,11 @@ class TestFinishOrdering:
         tracer = Tracer()
         engine = Engine(1, platform=IdealPlatform())
         tracer.attach(engine)
-        engine.run(lambda ctx: None)
+
+        def idle(ctx):
+            yield from ()
+
+        engine.run(idle)
         for offset in (10, 20, 30):
             tracer.events.append(self._event(0, 1.0, 5, offset=offset))
         bundle = tracer.finish(engine)
