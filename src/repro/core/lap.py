@@ -23,13 +23,20 @@ runs in three steps per (rank, file):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import and_, attrgetter, eq, sub
 from typing import Callable, Sequence
 
+from repro.tracer.columns import (
+    ALL_COLUMNS,
+    FLOAT_COLUMNS,
+    StreamDigest,
+    intern_ops,
+    numpy_enabled,
+)
 from repro.tracer.tracefile import TraceRecord
 
-try:  # optional: extract_laps_columns has a pure-Python twin
+try:  # optional: LAPFolder has a pure-Python fold
     import numpy as np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None
@@ -206,38 +213,80 @@ def extract_laps(records: Sequence[TraceRecord], gap: int = 1) -> list[LAPEntry]
     return entries
 
 
-# -- columnar extraction ------------------------------------------------------
+# -- columnar extraction: one kernel, one fold --------------------------------
 #
-# Same three steps, but over the parallel arrays of a
-# ``repro.tracer.columns.TraceColumns`` instead of per-record objects.
-# The numpy backend replaces the per-position ``_unit_matches`` scans
-# with run-length arrays so every greedy-scan query is O(1):
+# Batch and streamed extraction are one fold over ``TraceColumns``
+# chunks (:class:`LAPFolder`; :func:`extract_laps_columns` is a single
+# chunk).  Per chunk, ``_partition`` sorts the rows stably by (rank,
+# file), the open burst of each key in the chunk goes back in front of
+# the key's rows, bursts are cut at key changes and tick steps > gap,
+# and every burst but the last one per key is closed; that one is
+# *copied* into the key's buffer.
+#
+# ``_compress_bursts`` closes a chunk's bursts all at once.  Per unit
+# length u it builds two row masks:
 #
 #   chain[u][p]  op/request_size at p match p-u (same burst)
-#   du[u][p]     offset step  off[p] - off[p-u]
-#   g[u][p]      chain[u][p] and du[u][p] == du[u][p-u]  (constant disp)
+#   g[u][p]      chain[u][p] and off[p]-off[p-u] == off[p-u]-off[p-2u]
 #
-# A repetition run of unit u starting at i has a 2nd repetition iff
-# chain holds on [i+u, i+2u) -- the step there *establishes* disp, as in
-# ``_unit_matches`` -- and extends one repetition per complete block of
-# g-True positions after i+2u.  With C/G = suffix run lengths of
-# chain/g:
+# A burst [s, e) is exactly one tandem run of unit u iff u divides e-s
+# (>= 3 repetitions for u > 1), chain holds on [s+u, e) and g on
+# [s+2u, e) -- an O(log n) test per burst.  Tried in the greedy scan's
+# order (u = 1, 2, 3), the first exact run is the greedy's own answer: a
+# shorter unit that fell short of e-s cannot match full coverage and a
+# longer one cannot strictly beat it.  Exact runs -- nearly every burst
+# of the paper's apps -- become one entry from per-burst gathered
+# scalars; the rest go through the greedy ``_scan``, whose repetition
+# queries are O(1) on the suffix run lengths C/G of the same masks:
 #
 #   reps(i, u, e) = 1                      if i+2u > e or C[u][i+u] < u
 #                   2 + min(G[u][i+2u]//u, (e-i-2u)//u)   otherwise
 #
-# Burst boundaries zero ``pos`` (position within burst), which masks
-# chain (pos >= u) and g (pos >= 2u), so runs never leak across bursts.
-# The equivalence with the record path is asserted property-test-style
-# in tests/core/test_columnar_equivalence.py.
+# ``total_duration`` is ``sum()`` over the burst's slice of one list:
+# the record path's summation, hence bit-identical (``np.add.reduceat``
+# sums in another order).  Without numpy the folder runs the same steps
+# on plain lists, one burst at a time.  tests/core/test_lap_golden.py
+# pins the output bit for bit.
 
 def extract_laps_columns(cols, gap: int = 1) -> list[LAPEntry]:
     """:func:`extract_laps` over a ``TraceColumns`` -- identical output."""
-    if len(cols) == 0:
-        return []
-    if cols.backend == "numpy":
-        return _columns_entries_numpy(cols, gap)
-    return _columns_entries_python(cols, gap)
+    folder = LAPFolder(gap=gap, digest=False)
+    folder._fold(cols, final=True)
+    return folder._close_all()
+
+
+def _new(cls, **fields):
+    """``cls(**fields)`` for the frozen LAPOp/LAPEntry without the
+    per-field ``object.__setattr__`` of the dataclass ``__init__``; they
+    are built tens of thousands of times per trace.  Identical objects:
+    eq/hash/repr of a non-slots dataclass read the same ``__dict__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _kinds(op_table: Sequence[str]) -> list[str]:
+    return ["write" if "write" in name else "read" for name in op_table]
+
+
+def _key_starts(a: dict):
+    """Rows where the (rank, file_id) key changes, row 0 included."""
+    rank, fid = a["rank"], a["file_id"]
+    newkey = np.empty(len(rank), dtype=bool)
+    newkey[0] = True
+    newkey[1:] = (rank[1:] != rank[:-1]) | (fid[1:] != fid[:-1])
+    return np.flatnonzero(newkey)
+
+
+def _partition(a: dict):
+    """Stable sort of the columns ``a`` by (rank, file_id); returns the
+    sorted columns and the start row of each key's run."""
+    rank, fid = a["rank"], a["file_id"]
+    step = rank[1:] - rank[:-1]
+    if not np.all((step > 0) | ((step == 0) & (fid[1:] >= fid[:-1]))):
+        order = np.lexsort((fid, rank))
+        a = {name: col[order] for name, col in a.items()}
+    return a, _key_starts(a)
 
 
 def _suffix_runs(flags) -> list[int]:
@@ -248,310 +297,204 @@ def _suffix_runs(flags) -> list[int]:
     return (next_false - idx).tolist()
 
 
-def _columns_entries_numpy(cols, gap: int) -> list[LAPEntry]:
-    order = np.lexsort((cols.file_id, cols.rank))  # stable: == dict grouping
-    rank = cols.rank[order]
-    fid = cols.file_id[order]
-    op = cols.op_code[order]
-    off = cols.offset[order]
-    tick = cols.tick[order]
-    rs = cols.request_size[order]
-    n = len(rank)
+def _holds(mask, lo, hi):
+    """Per range b: ``mask`` is True on all of ``[lo[b], hi[b])`` -- no
+    failure row lies between the two, an O(log n) test per range."""
+    fail = np.flatnonzero(~mask)
+    return np.searchsorted(fail, lo) == np.searchsorted(fail, hi)
 
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = ((rank[1:] != rank[:-1]) | (fid[1:] != fid[:-1])
-                    | (tick[1:] - tick[:-1] > gap))
+
+#: column order of the lists ``_scan`` reads
+_SCAN_COLS = ("rank", "file_id", "op_code", "offset", "tick", "request_size",
+              "time", "duration", "abs_offset")
+
+
+def _compress_bursts(a: dict, starts, ends,
+                     op_table: Sequence[str]) -> list[LAPEntry]:
+    """Tandem-compress the bursts ``[starts[b], ends[b])`` of the
+    (rank, file)-sorted columns ``a``, in burst order."""
+    nb = len(starts)
+    if not nb:
+        return []
+    op, off, rs, aoff = (a["op_code"], a["offset"], a["request_size"],
+                         a["abs_offset"])
+    n = len(op)
     idx = np.arange(n)
-    pos = idx - np.maximum.accumulate(np.where(boundary, idx, 0))
-
-    C: list = [None] * (MAX_UNIT + 1)
-    G: list = [None] * (MAX_UNIT + 1)
+    first = np.zeros(n, dtype=bool)
+    first[starts] = True
+    pos = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    length = ends - starts
+    unit = np.zeros(nb, dtype=np.int64)
+    masks = [None]
     for u in range(1, MAX_UNIT + 1):
         chain = np.zeros(n, dtype=bool)
         du = np.zeros(n, dtype=np.int64)
         if n > u:
-            chain[u:] = (op[u:] == op[:-u]) & (rs[u:] == rs[:-u])
-            chain &= pos >= u
+            chain[u:] = ((op[u:] == op[:-u]) & (rs[u:] == rs[:-u])
+                         & (pos[u:] >= u))
             du[u:] = off[u:] - off[:-u]
         g = np.zeros(n, dtype=bool)
         if n > 2 * u:
             g[2 * u:] = (chain[2 * u:] & (du[2 * u:] == du[u:-u])
                          & (pos[2 * u:] >= 2 * u))
-        C[u] = _suffix_runs(chain)
-        G[u] = _suffix_runs(g)
+        masks.append((chain, g))
+        reps, rem = np.divmod(length, u)
+        exact = ((unit == 0) & (rem == 0)
+                 & _holds(chain, np.minimum(starts + u, ends), ends)
+                 & _holds(g, np.minimum(starts + 2 * u, ends), ends))
+        if u > 1:
+            exact &= reps >= 3
+        unit[exact] = u
 
-    def reps_fn(i: int, u: int, e: int) -> int:
-        if i + 2 * u > e or C[u][i + u] < u:
-            return 1 if i + u <= e else 0
-        avail = (e - i - 2 * u) // u
-        if avail <= 0:  # the 2nd repetition ends exactly at the burst edge
-            return 2
-        return 2 + min(G[u][i + 2 * u] // u, avail)
+    # per-burst scalars of the exact runs (the others ignore theirs)
+    ub = np.maximum(unit, 1)
+    reps = length // ub
+    last = n - 1
+    members = []
+    for j in range(MAX_UNIT):
+        p = np.minimum(starts + j, last)
+        disp = np.where(reps > 1, off[np.minimum(p + ub, last)] - off[p], 0)
+        members.append(tuple(zip(op[p].tolist(), rs[p].tolist(),
+                                 disp.tolist(), off[p].tolist(),
+                                 aoff[p].tolist())))
+    dur = a["duration"].tolist()
 
-    starts = np.flatnonzero(boundary).tolist()
-    bursts = list(zip(starts, starts[1:] + [n]))
-    # numpy scalar indexing is slow; the greedy scan runs on plain lists
-    lists = (rank.tolist(), fid.tolist(), op.tolist(), off.tolist(),
-             tick.tolist(), rs.tolist(), cols.time[order].tolist(),
-             cols.duration[order].tolist(), cols.abs_offset[order].tolist())
-    return _scan(lists, bursts, reps_fn, cols.op_table)
+    # the rest go through the greedy scan over their rows only
+    scan_at: dict[int, int] = {}
+    sc = np.flatnonzero(unit == 0)
+    if len(sc):
+        lens = length[sc]
+        at = np.cumsum(lens) - lens
+        rows = np.repeat(starts[sc] - at, lens) + np.arange(int(lens.sum()))
+        lists = [a[name][rows].tolist() for name in _SCAN_COLS]
+        C = [None] + [_suffix_runs(c[rows]) for c, _ in masks[1:]]
+        G = [None] + [_suffix_runs(g[rows]) for _, g in masks[1:]]
+
+        def reps_fn(i: int, u: int, e: int) -> int:
+            if i + 2 * u > e or C[u][i + u] < u:
+                return 1 if i + u <= e else 0
+            avail = (e - i - 2 * u) // u
+            if avail <= 0:  # the 2nd repetition ends exactly at the burst edge
+                return 2
+            return 2 + min(G[u][i + 2 * u] // u, avail)
+
+        scan_at = dict(zip(sc.tolist(), at.tolist()))
+
+    kinds = _kinds(op_table)
+    entries: list[LAPEntry] = []
+    for b, (s, e, u, r, rank, fid, t0, t1, time0) in enumerate(zip(
+            starts.tolist(), ends.tolist(), unit.tolist(), reps.tolist(),
+            a["rank"][starts].tolist(), a["file_id"][starts].tolist(),
+            a["tick"][starts].tolist(), a["tick"][ends - 1].tolist(),
+            a["time"][starts].tolist())):
+        if u:
+            ops = []
+            for j in range(u):
+                code, size, disp, o, ao = members[j][b]
+                ops.append(_new(LAPOp, op=op_table[code], kind=kinds[code],
+                                request_size=size, disp=disp, init_offset=o,
+                                init_abs_offset=ao))
+            entries.append(_new(LAPEntry, rank=rank, file_id=fid, rep=r,
+                                ops=tuple(ops), first_tick=t0, last_tick=t1,
+                                first_time=time0, total_duration=sum(dur[s:e])))
+        else:
+            i = scan_at[b]
+            _scan(lists, i, i + e - s, reps_fn, op_table, kinds, entries)
+    return entries
 
 
-class _Gather:
-    """Lazy permutation view for the cold columns of the python
-    fallback: they are read a handful of times per LAP entry, so
-    materializing the whole permuted column would cost more than the
-    lookups ever will."""
+def _emit(lists, i: int, u: int, r: int, op_table: Sequence[str],
+          kinds: list[str]) -> LAPEntry:
+    """The entry for ``r`` repetitions of the ``u``-op unit at ``i``."""
+    rank, fid, op, off, tick, rs, time, dur, aoff = lists
+    end = i + u * r
+    ops = []
+    for p in range(i, i + u):
+        code = op[p]
+        ops.append(_new(LAPOp, op=op_table[code], kind=kinds[code],
+                        request_size=rs[p],
+                        disp=off[p + u] - off[p] if r > 1 else 0,
+                        init_offset=off[p], init_abs_offset=aoff[p]))
+    return _new(LAPEntry, rank=rank[i], file_id=fid[i], rep=r, ops=tuple(ops),
+                first_tick=tick[i], last_tick=tick[end - 1],
+                first_time=time[i], total_duration=sum(dur[i:end]))
 
-    __slots__ = ("base", "order")
 
-    def __init__(self, base, order):
-        self.base = base
-        self.order = order
+def _scan(lists, s: int, e: int, reps_fn: Callable[[int, int, int], int],
+          op_table: Sequence[str], kinds: list[str],
+          out: list[LAPEntry]) -> None:
+    """The greedy compress_burst scan of the burst ``[s, e)`` of the
+    column lists, appending its entries to ``out``."""
+    i = s
+    while i < e:
+        best_u, best_r = 1, reps_fn(i, 1, e)
+        if i + best_r < e:
+            # a unit-u run covers at most e - i events, so once the
+            # unit-1 run reaches the burst end no longer unit can
+            # strictly beat its coverage
+            for u in range(2, MAX_UNIT + 1):
+                r = reps_fn(i, u, e)
+                if r >= 3 and r * u > best_r * best_u:
+                    best_u, best_r = u, r
+        out.append(_emit(lists, i, best_u, best_r, op_table, kinds))
+        i += best_u * best_r
 
-    def __getitem__(self, i: int):
-        return self.base[self.order[i]]
 
-
-def _columns_entries_python(cols, gap: int) -> list[LAPEntry]:
-    # Traces keep (rank, file) constant over long runs, so instead of a
-    # per-row Python loop the grouping works on *runs*: a C-speed
-    # pair-equality mask, then repeated ``list.index`` scans from one
-    # run boundary to the next.
-    n = len(cols)
-    src_r, src_f = cols.rank, cols.file_id
-    same = list(map(and_, map(eq, src_r[1:], src_r),
-                    map(eq, src_f[1:], src_f)))
-    runs: list[tuple[int, int]] = []
-    a = 0
-    while a < n:
-        try:
-            b = same.index(False, a) + 1
-        except ValueError:
-            b = n
-        runs.append((a, b))
-        a = b
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, b in runs:
-        groups.setdefault((src_r[a], src_f[a]), []).append((a, b))
-
-    # hot columns (touched per event) are materialized in group order
-    # by concatenating run slices (C speed); cold ones (touched per
-    # entry) stay behind lazy views
-    order: list[int] = []
-    op: list[int] = []
-    off: list[int] = []
-    rs: list[int] = []
-    dur: list[float] = []
-    tick: list[int] = []
-    group_starts: list[int] = []
-    src_op, src_off = cols.op_code, cols.offset
-    src_rs, src_dur, src_tick = cols.request_size, cols.duration, cols.tick
-    for key in sorted(groups):
-        group_starts.append(len(order))
-        for a, b in groups[key]:
-            order.extend(range(a, b))
-            op += src_op[a:b]
-            off += src_off[a:b]
-            rs += src_rs[a:b]
-            dur += src_dur[a:b]
-            tick += src_tick[a:b]
-    rank = _Gather(cols.rank, order)
-    fid = _Gather(cols.file_id, order)
-    time = _Gather(cols.time, order)
-    aoff = _Gather(cols.abs_offset, order)
-
-    # burst starts: every group start, plus every within-group tick
-    # step > gap -- again a mask plus ``index`` scans.  Steps measured
-    # across group boundaries may be arbitrary, but those positions are
-    # group starts already, so the union is exactly the boundary set.
-    tstep = list(map(sub, tick[1:], tick))
-    gapped = list(map(gap.__lt__, tstep))
-    starts_set = set(group_starts)
-    q = 0
-    while True:
-        try:
-            q = gapped.index(True, q)
-        except ValueError:
-            break
-        starts_set.add(q + 1)
-        q += 1
-    starts = sorted(starts_set)
-    bursts = list(zip(starts, starts[1:] + [n]))
-
-    lists = (rank, fid, op, off, tick, rs, time, dur, aoff)
-    return _scan(lists, bursts, _make_reps_fn(op, rs, off), cols.op_table)
-
+# -- the pure-Python fold (numpy unavailable or disabled) ---------------------
 
 def _make_reps_fn(op: list, rs: list, off: list) -> Callable[[int, int, int], int]:
-    """The pure-Python greedy-scan repetition query over column lists."""
+    """The pure-Python greedy-scan repetition query over column lists:
+    ``_unit_matches`` as one walk -- row p extends the run while it
+    repeats row p-u and, from the third repetition on, keeps its
+    member's offset step."""
 
-    def reps_fn(i: int, u: int, e: int, op=op, rs=rs, off=off) -> int:
-        if u == 1:  # the hot query: tight single-op scan
-            o0, r0 = op[i], rs[i]
-            p = i + 1
-            if p >= e or op[p] != o0 or rs[p] != r0:
-                return 1
-            d = off[p] - off[i]
-            p += 1
-            while (p < e and op[p] == o0 and rs[p] == r0
-                   and off[p] - off[p - 1] == d):
-                p += 1
-            return p - i
-        # direct port of _unit_matches onto the column lists
+    def reps_fn(i: int, u: int, e: int) -> int:
         if i + u > e:
             return 0
-        reps = 1
-        disp: list[int | None] = [None] * u
-        while True:
-            lo = i + reps * u
-            if lo + u > e:
-                break
-            ok = True
-            for j in range(u):
-                p = lo + j
-                b = i + j
-                if op[b] != op[p] or rs[b] != rs[p]:
-                    ok = False
-                    break
-                step = off[p] - off[p - u]
-                dj = disp[j]
-                if dj is None:
-                    disp[j] = step
-                elif dj != step:
-                    ok = False
-                    break
-            if not ok:
-                break
-            reps += 1
-        return reps
+        p, third = i + u, i + 2 * u
+        while (p < e and op[p] == op[p - u] and rs[p] == rs[p - u]
+               and (p < third
+                    or off[p] - off[p - u] == off[p - u] - off[p - 2 * u])):
+            p += 1
+        return (p - i) // u
 
     return reps_fn
 
 
-def _full_run(op, off, rs, s: int, e: int, u: int) -> int:
-    """``(e - s) // u`` if the burst ``[s, e)`` is *exactly* a tandem
+def _full_run(op, off, rs, e: int, u: int) -> int:
+    """``e // u`` if the burst ``[0, e)`` is *exactly* a tandem
     repetition of the unit of length ``u`` (with the >= 3 repetition
     floor for multi-op units), else 0.  Runs on C-level slice
     comparisons -- no per-event Python loop."""
-    r, rem = divmod(e - s, u)
+    r, rem = divmod(e, u)
     if rem or (u > 1 and r < 3):
         return 0
     if r > 1:
-        unit_op, unit_rs = op[s:s + u], rs[s:s + u]
-        if op[s:e] != unit_op * r or rs[s:e] != unit_rs * r:
+        if op != op[:u] * r or rs != rs[:u] * r:
             return 0
         for j in range(u):
-            col = off[s + j:e:u]
+            col = off[j::u]
             d = col[1] - col[0]
             if col[1:] != list(map(d.__add__, col[:-1])):
                 return 0
     return r
 
 
-def _scan(lists, bursts, reps_fn: Callable[[int, int, int], int],
-          op_table: Sequence[str]) -> list[LAPEntry]:
-    """The greedy compress_burst scan over primitive column lists."""
-    rank, fid, op, off, tick, rs, time, dur, aoff = lists
-    kinds = ["write" if "write" in name else "read" for name in op_table]
-    entries: list[LAPEntry] = []
-    # LAPOp/LAPEntry are constructed tens of thousands of times per
-    # trace; frozen-dataclass __init__ pays one object.__setattr__ per
-    # field.  __new__ + a bulk __dict__.update builds the identical
-    # object (plain non-slots dataclasses: eq/hash/repr all read the
-    # same __dict__) at a fraction of the cost.
-    new_op, new_entry = LAPOp.__new__, LAPEntry.__new__
-
-    def emit(i: int, best_u: int, best_r: int) -> int:
-        end = i + best_u * best_r
-        ops = []
-        for j in range(best_u):
-            p = i + j
-            code = op[p]
-            o = new_op(LAPOp)
-            o.__dict__.update(
-                op=op_table[code],
-                kind=kinds[code],
-                request_size=rs[p],
-                disp=off[p + best_u] - off[p] if best_r > 1 else 0,
-                init_offset=off[p],
-                init_abs_offset=aoff[p],
-            )
-            ops.append(o)
-        en = new_entry(LAPEntry)
-        en.__dict__.update(
-            rank=rank[i],
-            file_id=fid[i],
-            rep=best_r,
-            ops=tuple(ops),
-            first_tick=tick[i],
-            last_tick=tick[end - 1],
-            first_time=time[i],
-            # sum() over the list slice accumulates left-to-right in
-            # the same order as the record path: bit-identical floats
-            total_duration=sum(dur[i:end]),
-        )
-        entries.append(en)
-        return end
-
-    for s, e in bursts:
-        # Whole-burst fast path.  In the paper's apps a burst is almost
-        # always one exact tandem run, and the greedy scan provably
-        # agrees with the short-circuit:
-        #   u=1 full: no longer unit can strictly beat full coverage.
-        #   u=2 full: unit 1 fell short (r1 < e-s), so 2*r2 = e-s wins;
-        #     unit 3 cannot strictly beat it.
-        #   u=3 full: both shorter units fell short of e-s (a failed
-        #     full-run test bounds their coverage strictly below e-s),
-        #     so 3*r3 = e-s wins.
-        # The tests run in the greedy's own preference order.
-        for u in range(1, MAX_UNIT + 1):
-            r = _full_run(op, off, rs, s, e, u)
-            if r:
-                emit(s, u, r)
-                break
-        else:
-            i = s
-            while i < e:
-                best_u, best_r = 1, reps_fn(i, 1, e)
-                if i + best_r < e:
-                    # a unit-u run covers at most e - i events, so once
-                    # the unit-1 run reaches the burst end no longer
-                    # unit can strictly beat its coverage
-                    for u in range(2, MAX_UNIT + 1):
-                        r = reps_fn(i, u, e)
-                        if r >= 3 and r * u > best_r * best_u:
-                            best_u, best_r = u, r
-                i = emit(i, best_u, best_r)
-    entries.sort(key=attrgetter("rank", "file_id", "first_tick"))
-    return entries
-
-
-# -- streaming extraction -----------------------------------------------------
-
-class _Const:
-    """Constant pseudo-column: one (rank or file_id) value for a burst."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __getitem__(self, i: int):
-        return self.v
-
-
 class LAPFolder:
-    """Incremental LAP extraction over a *streamed* trace.
+    """The one LAP extraction fold, for batch and streamed traces.
 
-    Feed trace chunks (``TraceColumns`` slices, e.g. from
+    Feed trace chunks (``TraceColumns``, e.g. from
     :func:`repro.tracer.columns.iter_trace_column_chunks`) through
-    :meth:`push`; :meth:`finish` returns the LAP entries.  Memory is
-    O(open bursts + emitted entries + op table): a burst's rows are
-    buffered only until a tick gap (or end of stream) closes it, then
-    tandem-compressed with the same ``_full_run``/``_scan`` machinery
-    as the batch paths and released.
+    :meth:`push`; :meth:`finish` returns the LAP entries.  Each chunk is
+    sorted by (rank, file), cut into bursts and compressed by the one
+    vectorized kernel (see "columnar extraction" above); only the last
+    burst of each key stays open, since the next chunk may extend it.
+    :func:`extract_laps_columns` is the same fold over one chunk.
+
+    Memory is O(open bursts + emitted entries + op table): an open
+    burst's rows are *copied* into the key's buffer -- a view would pin
+    the whole chunk -- and released once a tick gap (or the end of the
+    stream) closes the burst.
 
     The output is **bit-identical** to :func:`extract_laps` over the
     full trace, provided the chunks preserve each (rank, file)'s record
@@ -563,13 +506,12 @@ class LAPFolder:
     """
 
     def __init__(self, gap: int = 1, digest: bool = True):
-        from repro.tracer.columns import StreamDigest
-
         self.gap = gap
         self.op_table: list[str] = []
         self._op_index: dict[str, int] = {}
-        #: (rank, file_id) -> dict of open-burst column lists
-        self._open: dict[tuple[int, int], dict[str, list]] = {}
+        self._vector = numpy_enabled()
+        #: (rank, file_id) -> the key's open burst (column name -> rows)
+        self._open: dict[tuple[int, int], dict] = {}
         self._entries: list[LAPEntry] = []
         # digest=False skips the per-chunk sha256 work entirely -- for
         # callers that will never ask for content_digest() (e.g. a
@@ -584,34 +526,90 @@ class LAPFolder:
         """Fold one ``TraceColumns`` chunk (any backend, any op table)."""
         if self._finished:
             raise RuntimeError("LAPFolder already finished")
-        lists = chunk.column_lists()
-        remap = []
-        for op in chunk.op_table:
-            code = self._op_index.get(op)
-            if code is None:
-                code = self._op_index[op] = len(self.op_table)
-                self.op_table.append(op)
-            remap.append(code)
-        if remap != list(range(len(remap))):
-            lists["op_code"] = [remap[c] for c in lists["op_code"]]
+        self._fold(chunk, final=False)
+
+    def _remap(self, op_table: Sequence[str]) -> list[int] | None:
+        """Chunk op code -> global op code, or None when they agree."""
+        remap = intern_ops(op_table, self.op_table, self._op_index)
+        return None if remap == list(range(len(remap))) else remap
+
+    def _fold(self, chunk, final: bool) -> None:
+        """Fold ``chunk``; ``final`` closes its bursts, the last ones too
+        (the caller knows no chunk follows and no burst is open)."""
+        remap = self._remap(chunk.op_table)
+        if not self._vector:
+            lists = chunk.column_lists()
+            if remap is not None:
+                lists["op_code"] = [remap[c] for c in lists["op_code"]]
+            if self.digest is not None:
+                self.digest.update(lists)
+            self._push_lists(lists)
+            return
+        n = len(chunk)
+        a = {name: np.asarray(getattr(chunk, name),
+                              dtype=np.float64 if name in FLOAT_COLUMNS
+                              else np.int64)
+             for name in ALL_COLUMNS}
+        if remap is not None and n:
+            a["op_code"] = np.asarray(remap, dtype=np.int64)[a["op_code"]]
         if self.digest is not None:
-            self.digest.update(lists)
-        self._push_lists(lists)
+            self.digest.update(a, backend="numpy")
+        self.nrows += n
+        if n:
+            self._fold_arrays(a, final)
 
-    def push_records(self, records) -> None:
-        """Fold an iterable of ``TraceRecord`` rows (convenience)."""
-        from repro.tracer.columns import TraceColumns
+    def _fold_arrays(self, a: dict, final: bool) -> None:
+        a, key_starts = _partition(a)
+        if self._open:
+            # the open burst of each key in the chunk goes back in
+            # front of the key's rows
+            bounds = np.append(key_starts, len(a["rank"])).tolist()
+            keys = zip(a["rank"][key_starts].tolist(),
+                       a["file_id"][key_starts].tolist())
+            pieces, held = [], False
+            for key, lo, hi in zip(keys, bounds, bounds[1:]):
+                buf = self._open.pop(key, None)
+                if buf is not None:
+                    pieces.append(buf)
+                    held = True
+                pieces.append({name: col[lo:hi] for name, col in a.items()})
+            if held:
+                a = {name: np.concatenate([p[name] for p in pieces])
+                     for name in a}
+                key_starts = _key_starts(a)
+        tick, n = a["tick"], len(a["tick"])
+        cut = np.zeros(n, dtype=bool)
+        cut[1:] = tick[1:] - tick[:-1] > self.gap
+        cut[key_starts] = True
+        starts = np.flatnonzero(cut)
+        ends = np.append(starts[1:], n)
+        # unless final, a burst that ends where its key's rows end stays open
+        key_ends = np.append(key_starts[1:], n)
+        closed = final | (key_ends[np.searchsorted(key_ends, ends)] != ends)
+        self._entries += _compress_bursts(a, starts[closed], ends[closed],
+                                          self.op_table)
+        if final:
+            return
+        for s, e in zip(starts[~closed].tolist(), ends[~closed].tolist()):
+            # a copy, never a view: a view would pin the whole chunk
+            key = (int(a["rank"][s]), int(a["file_id"][s]))
+            self._open[key] = {name: col[s:e].copy()
+                               for name, col in a.items()}
+        self._note_open_rows()
 
-        self.push(TraceColumns.from_records(records, backend="python"))
+    def _note_open_rows(self) -> None:
+        open_rows = sum(len(buf["tick"]) for buf in self._open.values())
+        if open_rows > self.peak_open_rows:
+            self.peak_open_rows = open_rows
 
+    # -- the pure-Python fold -------------------------------------------------
     def _push_lists(self, lists: dict[str, list]) -> None:
         rank, fid = lists["rank"], lists["file_id"]
         n = len(rank)
         self.nrows += n
         if n == 0:
             return
-        # (rank, file) runs via C-speed pair-equality masks, as in the
-        # batch python path
+        # (rank, file) runs via C-speed pair-equality masks
         same = list(map(and_, map(eq, rank[1:], rank),
                         map(eq, fid[1:], fid)))
         a = 0
@@ -622,12 +620,7 @@ class LAPFolder:
                 b = n
             self._push_run((rank[a], fid[a]), lists, a, b)
             a = b
-        open_rows = sum(len(buf["op_code"]) for buf in self._open.values())
-        if open_rows > self.peak_open_rows:
-            self.peak_open_rows = open_rows
-
-    _BUF_COLS = ("op_code", "offset", "tick", "request_size", "time",
-                 "duration", "abs_offset")
+        self._note_open_rows()
 
     def _push_run(self, key: tuple[int, int], lists: dict[str, list],
                   a: int, b: int) -> None:
@@ -649,30 +642,48 @@ class LAPFolder:
         buf = self._open.get(key)
         for s, e in zip(cuts, cuts[1:]):
             if buf is not None and tick[s] - buf["tick"][-1] <= gap:
-                for name in self._BUF_COLS:
+                for name in ALL_COLUMNS:
                     buf[name] += lists[name][s:e]
             else:
                 if buf is not None:
-                    self._compress(key, buf)
-                buf = {name: lists[name][s:e] for name in self._BUF_COLS}
+                    self._compress(buf)
+                buf = {name: lists[name][s:e] for name in ALL_COLUMNS}
         self._open[key] = buf
 
-    # -- compression ----------------------------------------------------------
-    def _compress(self, key: tuple[int, int], buf: dict[str, list]) -> None:
+    def _compress(self, buf: dict[str, list]) -> None:
+        """Compress one closed burst held as column lists."""
         op, off, rs = buf["op_code"], buf["offset"], buf["request_size"]
-        lists = (_Const(key[0]), _Const(key[1]), op, off, buf["tick"], rs,
-                 buf["time"], buf["duration"], buf["abs_offset"])
-        self._entries.extend(_scan(lists, [(0, len(op))],
-                                   _make_reps_fn(op, rs, off), self.op_table))
+        lists = [buf[name] for name in _SCAN_COLS]
+        kinds = _kinds(self.op_table)
+        # whole-burst fast path, in the greedy scan's preference order
+        # (see "columnar extraction" above for why it agrees)
+        for u in range(1, MAX_UNIT + 1):
+            r = _full_run(op, off, rs, len(op), u)
+            if r:
+                self._entries.append(_emit(lists, 0, u, r, self.op_table,
+                                           kinds))
+                return
+        _scan(lists, 0, len(op), _make_reps_fn(op, rs, off), self.op_table,
+              kinds, self._entries)
+
+    # -- results --------------------------------------------------------------
+    def _close_all(self) -> list[LAPEntry]:
+        """Close every open burst; the entries in the batch-path order."""
+        if self._open:
+            bufs = [self._open.pop(key) for key in sorted(self._open)]
+            if self._vector:
+                self._fold_arrays({name: np.concatenate([b[name] for b in bufs])
+                                   for name in ALL_COLUMNS}, final=True)
+            else:
+                for buf in bufs:
+                    self._compress(buf)
+        self._entries.sort(key=attrgetter("rank", "file_id", "first_tick"))
+        return self._entries
 
     def finish(self) -> list[LAPEntry]:
         """Close the remaining bursts; entries in the batch-path order."""
         if not self._finished:
-            for key in sorted(self._open):
-                self._compress(key, self._open[key])
-            self._open.clear()
-            self._entries.sort(key=attrgetter("rank", "file_id",
-                                              "first_tick"))
+            self._close_all()
             self._finished = True
         return self._entries
 

@@ -158,6 +158,8 @@ class LatticeParams:
     names: list[str]
     cols: dict[str, "object"]  # field -> ndarray (numpy) | list (python)
     backend: str
+    _groups: dict | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -195,14 +197,16 @@ class LatticeParams:
 
     def groups(self):
         """(gfs, level) -> index array; kernel branches are uniform
-        within a group, so each group evaluates as straight-line numpy."""
-        import numpy as np
-        keys = {}
-        gfs, level = self.cols["gfs"], self.cols["level"]
-        for key in {(int(g), int(l)) for g, l in zip(gfs, level)}:
-            mask = (gfs == key[0]) & (level == key[1])
-            keys[key] = np.flatnonzero(mask)
-        return keys
+        within a group, so each group evaluates as straight-line numpy.
+        Built once: ``cols`` never changes after construction."""
+        if self._groups is None:
+            import numpy as np
+            gfs, level = self.cols["gfs"], self.cols["level"]
+            keys = {(int(g), int(l)) for g, l in zip(gfs.tolist(),
+                                                     level.tolist())}
+            self._groups = {k: np.flatnonzero((gfs == k[0]) & (level == k[1]))
+                            for k in keys}
+        return self._groups
 
     def peak_bw(self, kind: str):
         """eqs. (3)/(4) for every configuration at once (MB/s)."""

@@ -65,9 +65,29 @@ def numpy_enabled() -> bool:
         os.environ.get("REPRO_NO_NUMPY", "").lower() not in _TRUTHY
 
 
+def check_chunk_rows(chunk_rows: int) -> None:
+    """Reject a non-positive streaming chunk size up front."""
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+
+
 def default_backend() -> str:
     """The column backend new TraceColumns use: "numpy" or "python"."""
     return "numpy" if numpy_enabled() else "python"
+
+
+def intern_ops(ops: Iterable[str], op_table: list[str],
+               op_index: dict[str, int]) -> list[int]:
+    """Intern a chunk's op table into a merged one (first-appearance
+    order); returns chunk op code -> merged op code."""
+    remap = []
+    for op in ops:
+        code = op_index.get(op)
+        if code is None:
+            code = op_index[op] = len(op_table)
+            op_table.append(op)
+        remap.append(code)
+    return remap
 
 
 def _as_int_column(values, backend: str):
@@ -153,13 +173,7 @@ class TraceColumns:
         for part in chunks:
             if out_backend is None:
                 out_backend = part.backend
-            remap = []
-            for op in part.op_table:
-                code = op_index.get(op)
-                if code is None:
-                    code = op_index[op] = len(op_table)
-                    op_table.append(op)
-                remap.append(code)
+            remap = intern_ops(part.op_table, op_table, op_index)
             lists = part.column_lists()
             if remap != list(range(len(remap))):
                 lists["op_code"] = [remap[c] for c in lists["op_code"]]
@@ -170,25 +184,9 @@ class TraceColumns:
     @classmethod
     def from_events(cls, events: Iterable,
                     backend: str | None = None) -> "TraceColumns":
-        """Build columns straight from engine ``IOEvent`` objects."""
-        cols = cls._empty_lists()
-        op_table: list[str] = []
-        op_index: dict[str, int] = {}
-        for e in events:
-            code = op_index.get(e.op)
-            if code is None:
-                code = op_index[e.op] = len(op_table)
-                op_table.append(e.op)
-            cols["rank"].append(e.rank)
-            cols["file_id"].append(e.file_id)
-            cols["op_code"].append(code)
-            cols["offset"].append(e.offset)
-            cols["tick"].append(e.tick)
-            cols["request_size"].append(e.request_size)
-            cols["time"].append(e.time)
-            cols["duration"].append(e.duration)
-            cols["abs_offset"].append(e.abs_offset)
-        return cls(op_table=op_table, backend=backend, **cols)
+        """Build columns straight from engine ``IOEvent`` objects (they
+        carry the TraceRecord fields under the same names)."""
+        return cls.from_records(events, backend=backend)
 
     # -- basic views ----------------------------------------------------------
     def __len__(self) -> int:
@@ -201,10 +199,6 @@ class TraceColumns:
             col = getattr(self, name)
             out[name] = col.tolist() if self.backend == "numpy" else list(col)
         return out
-
-    def kind_table(self) -> list[str]:
-        """op_code -> "write"/"read", mirroring ``TraceRecord.kind``."""
-        return ["write" if "write" in op else "read" for op in self.op_table]
 
     def op_at(self, i: int) -> str:
         return self.op_table[int(self.op_code[i])]
@@ -287,8 +281,6 @@ class TraceColumns:
         """Concatenate traces (per-rank files -> one bundle), remapping
         each part's op codes onto a merged op table."""
         backend = backend or (parts[0].backend if parts else default_backend())
-        op_table: list[str] = []
-        op_index: dict[str, int] = {}
         if backend == "numpy" and np is not None \
                 and all(p.backend == "numpy" for p in parts):
             # array fast path: remap op codes through a lookup vector
@@ -296,14 +288,10 @@ class TraceColumns:
             # loop.  Interning order (first appearance across parts)
             # matches the list path, so content_digest is unchanged.
             arrs: dict[str, list] = {name: [] for name in ALL_COLUMNS}
+            op_table: list[str] = []
+            op_index: dict[str, int] = {}
             for part in parts:
-                remap = []
-                for op in part.op_table:
-                    code = op_index.get(op)
-                    if code is None:
-                        code = op_index[op] = len(op_table)
-                        op_table.append(op)
-                    remap.append(code)
+                remap = intern_ops(part.op_table, op_table, op_index)
                 codes = part.op_code
                 if remap != list(range(len(remap))) and len(codes):
                     codes = np.asarray(remap, dtype=np.int64)[codes]
@@ -318,20 +306,7 @@ class TraceColumns:
                     dtype = np.float64 if name in FLOAT_COLUMNS else np.int64
                     kwargs[name] = np.zeros(0, dtype=dtype)
             return cls(op_table=op_table, backend=backend, **kwargs)
-        cols = cls._empty_lists()
-        for part in parts:
-            remap = []
-            for op in part.op_table:
-                code = op_index.get(op)
-                if code is None:
-                    code = op_index[op] = len(op_table)
-                    op_table.append(op)
-                remap.append(code)
-            lists = part.column_lists()
-            lists["op_code"] = [remap[c] for c in lists["op_code"]]
-            for name in ALL_COLUMNS:
-                cols[name].extend(lists[name])
-        return cls(op_table=op_table, backend=backend, **cols)
+        return cls.from_stream(parts, backend=backend)
 
     def content_digest(self) -> str:
         """sha256 hex digest of the trace content (backend-independent).
@@ -493,18 +468,20 @@ class StreamDigest:
         return h.hexdigest()
 
 
-def _int_blob(col, backend: str) -> bytes:
+def _int_blob(col, backend: str):
+    """A column's little-endian int64 blob, as a bytes-like object: a
+    numpy column is hashed or written in place, never copied."""
     if backend == "numpy":
-        return np.asarray(col, dtype=np.int64).astype("<i8", copy=False).tobytes()
+        return memoryview(np.ascontiguousarray(col, dtype="<i8")).cast("B")
     a = array("q", col)
     if sys.byteorder == "big":  # pragma: no cover
         a.byteswap()
     return a.tobytes()
 
 
-def _float_blob(col, backend: str) -> bytes:
+def _float_blob(col, backend: str):
     if backend == "numpy":
-        return np.asarray(col, dtype=np.float64).astype("<f8", copy=False).tobytes()
+        return memoryview(np.ascontiguousarray(col, dtype="<f8")).cast("B")
     a = array("d", col)
     if sys.byteorder == "big":  # pragma: no cover
         a.byteswap()
@@ -610,6 +587,7 @@ def iter_trace_column_chunks(path: str | Path, *,
     chunks to :meth:`TraceColumns.from_stream` or a
     :class:`~repro.core.lap.LAPFolder`, which re-intern the codes.
     """
+    check_chunk_rows(chunk_rows)
     path = Path(path)
     backend = backend or default_backend()
     op_table: list[str] = []

@@ -30,7 +30,7 @@ from repro.ioutil import atomic_write_text
 from repro.simmpi.engine import Engine
 from repro.simmpi.fileio import IOEvent
 
-from .columns import TraceColumns, numpy_enabled
+from .columns import TraceColumns, check_chunk_rows, numpy_enabled
 from .metadata import AppMetadata
 from .tracefile import TraceRecord, write_trace_file
 
@@ -196,6 +196,7 @@ def stream_bundle(directory: str | Path, chunk_rows: int = 1 << 16,
     bounds the *folding* memory but not the load itself (save with
     ``binary=False`` for true streaming).
     """
+    check_chunk_rows(chunk_rows)
     directory = Path(directory)
     payload = json.loads((directory / "metadata.json").read_text())
     nprocs = payload["nprocs"]

@@ -60,6 +60,7 @@ from .columns import (
     TraceColumns,
     _parse_chunk,
     _read_trace_columns_lines,
+    check_chunk_rows,
     default_backend,
     iter_trace_column_chunks,
 )
@@ -573,6 +574,7 @@ def iter_ingest_chunks(path: str | Path, *,
     via :func:`ingest_columns` first (trading the O(block) bound for
     speed) and re-slice it as O(1) views.
     """
+    check_chunk_rows(chunk_rows)
     path = Path(path)
     backend = backend or default_backend()
     njobs = resolve_jobs(jobs)

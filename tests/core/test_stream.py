@@ -205,6 +205,34 @@ def test_iter_chunks_matches_batch_reader(tmp_path, bt_bundle):
     assert cat.content_digest() == batch.content_digest()
 
 
+@pytest.mark.parametrize("chunk_rows", [0, -5])
+@pytest.mark.parametrize("entry", ["iter_trace_column_chunks",
+                                   "iter_ingest_chunks", "stream_bundle",
+                                   "characterize_stream"])
+def test_non_positive_chunk_rows_rejected(tmp_path, bt_bundle, entry,
+                                          chunk_rows):
+    """A non-positive chunk size raises before any file is read, instead
+    of streaming no rows (an empty model) or failing inside range()."""
+    from repro.core.pipeline import characterize_stream
+    from repro.tracer.ingest import iter_ingest_chunks
+
+    calls = {
+        "iter_trace_column_chunks": lambda d: next(iter_trace_column_chunks(
+            d / "trace.0", chunk_rows=chunk_rows)),
+        "iter_ingest_chunks": lambda d: next(iter_ingest_chunks(
+            d / "trace.0", chunk_rows=chunk_rows)),
+        "stream_bundle": lambda d: stream_bundle(d, chunk_rows=chunk_rows),
+        "characterize_stream": lambda d: characterize_stream(
+            d, chunk_rows=chunk_rows),
+    }
+    bt_bundle.save(tmp_path / "txt")
+    # the missing directory shows the check runs before any file is read
+    for directory in (tmp_path / "txt", tmp_path / "missing"):
+        with pytest.raises(ValueError,
+                           match=f"chunk_rows must be >= 1, got {chunk_rows}"):
+            calls[entry](directory)
+
+
 def test_stream_cache_interop(tmp_path, bt_bundle):
     """from_stream stores under the same key from_columns uses, so
     either path warm-starts the other."""
