@@ -11,9 +11,8 @@ Three workload families, each workload run as a before/after pair:
 * **characterization** (``characterize_*``) -- before: the per-record
   reference pipeline (Fig. 2 text parse into ``TraceRecord`` objects,
   record-by-record LAP/phase extraction); after: the columnar pipeline
-  (binary column load, vectorized extraction) -- once on the numpy
-  backend, once on the pure-Python fallback, plus a traced high-np ROMS
-  run.
+  (binary column load, vectorized extraction), plus a traced high-np
+  ROMS run.
 * **distributed sweep** (``sweep_cluster``) -- before: spawn-per-job
   dispatch to fresh worker processes; after: one persistent socket
   worker cluster (:mod:`repro.core.executors`) running the same replay
@@ -58,7 +57,6 @@ import dataclasses
 import gc
 import hashlib
 import json
-import os
 import sys
 import tempfile
 import time
@@ -83,7 +81,7 @@ from repro.core.offsetfn import OffsetFunction
 from repro.core.phases import Phase, PhaseOp
 from repro.core.pipeline import full_study
 from repro.core.replayer import replay_phase
-from repro.tracer.columns import TraceColumns, numpy_enabled
+from repro.tracer.columns import TraceColumns
 from repro.tracer.hooks import TraceBundle, trace_run
 from repro.tracer.metadata import AppMetadata, FileMetadataSummary
 from repro.tracer.tracefile import HEADER, read_trace_file
@@ -252,15 +250,11 @@ def characterization_dataset() -> dict:
     # canonical columns come from re-reading the text, so the binary
     # legs consume exactly what the text legs parse
     parts = [
-        TraceColumns.from_records(
-            read_trace_file(directory / f"trace.{rank}"), backend="python")
+        TraceColumns.from_records(read_trace_file(directory / f"trace.{rank}"))
         for rank in range(SYNTH_RANKS)
     ]
     cols = TraceColumns.concat(parts)
-    cols.save(directory / "columns.trc")
-    if numpy_enabled():
-        TraceColumns.load(directory / "columns.trc").save(
-            directory / "columns.npz")
+    cols.save(directory / "columns.npz")
     ds = {"dir": directory, "nranks": SYNTH_RANKS, "nevents": len(cols),
           "metadata": _synth_metadata()}
     _datasets["synth"] = ds
@@ -280,24 +274,11 @@ def characterize_synth_records() -> IOModel:
 
 
 def characterize_synth_columnar() -> IOModel:
-    """After leg (numpy): binary column load + vectorized extraction."""
+    """After leg: binary column load + vectorized extraction."""
     ds = characterization_dataset()
-    name = "columns.npz" if numpy_enabled() else "columns.trc"
-    cols = TraceColumns.load(ds["dir"] / name)
+    cols = TraceColumns.load(ds["dir"] / "columns.npz")
     return IOModel.from_columns(cols, ds["metadata"], ds["nranks"],
                                 app_name="synth_large")
-
-
-def characterize_synth_fallback() -> IOModel:
-    """After leg (no numpy): packed '.trc' load + pure-Python kernels."""
-    ds = characterization_dataset()
-    os.environ["REPRO_NO_NUMPY"] = "1"
-    try:
-        cols = TraceColumns.load(ds["dir"] / "columns.trc", backend="python")
-        return IOModel.from_columns(cols, ds["metadata"], ds["nranks"],
-                                    app_name="synth_large")
-    finally:
-        del os.environ["REPRO_NO_NUMPY"]
 
 
 # -- streaming characterization (1M events) -----------------------------------
@@ -671,9 +652,6 @@ WORKLOADS = [
     # Characterization: identical models required (rtol 0 on the JSON).
     Workload("characterize_synth_large", characterize_synth_records,
              characterize_synth_columnar, summarize_model, rtol=0.0,
-             min_speedup=5.0, repeat=2),
-    Workload("characterize_synth_fallback", characterize_synth_records,
-             characterize_synth_fallback, summarize_model, rtol=0.0,
              min_speedup=5.0, repeat=2),
     Workload("characterize_roms_np32", characterize_roms_records,
              characterize_roms_columnar, summarize_model, rtol=0.0,

@@ -46,7 +46,6 @@ from repro.core.pipeline import (
 from repro.core.signatures import classify_model
 from repro.core.synthesis import replay_model
 from repro.report.tables import configuration_table, phases_table, usage_table
-from repro.tracer.columns import numpy_enabled
 from repro.tracer.hooks import TraceBundle
 
 
@@ -121,10 +120,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     bundle.save(out, binary=args.binary)
     model.save(out / "model.json")
     print(f"traced {args.app} on {args.np} procs: {bundle.nevents} I/O events")
-    if args.binary:
-        layout = "columns.npz" if numpy_enabled() else "columns.trc"
-    else:
-        layout = "trace.<rank>"
+    layout = "columns.npz" if args.binary else "trace.<rank>"
     print(f"wrote {out}/{layout}, metadata.json, model.json")
     return 0
 
@@ -586,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collect and print the observability metrics")
     p.add_argument("--binary", action="store_true",
                    help="save the trace as one compact columnar file "
-                        "(columns.npz / columns.trc) instead of per-rank "
-                        "Fig. 2 text files")
+                        "(columns.npz) instead of per-rank Fig. 2 text "
+                        "files")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("model", help="rebuild/print a model from saved traces")

@@ -48,8 +48,6 @@ def _share_trace_args(jobs: Mapping[str, tuple]) -> tuple[dict, list]:
     from repro.tracer import shm as _shm
     from repro.tracer.columns import TraceColumns
 
-    if not _shm.shm_available():
-        return dict(jobs), []
     shared: dict[int, Any] = {}
     handles: list[Any] = []
     out: dict[str, tuple] = {}

@@ -36,8 +36,8 @@ format the tracer writes to disk).  The container is::
     ...  pickle stream (persistent ids reference blob indices)
 
 so trace data crosses the wire as typed column blobs, not pickles --
-the receiving side rebuilds columns with ``TraceColumns.from_bytes``
-under whichever numpy/pure-Python backend it runs.
+the receiving side rebuilds columns with ``TraceColumns.from_bytes``,
+which rejects a malformed blob with ``ValueError``.
 """
 
 from __future__ import annotations

@@ -24,22 +24,17 @@ runs in three steps per (rank, file):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, attrgetter, eq, sub
+from operator import attrgetter
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.tracer.columns import (
     ALL_COLUMNS,
-    FLOAT_COLUMNS,
     StreamDigest,
     intern_ops,
-    numpy_enabled,
 )
 from repro.tracer.tracefile import TraceRecord
-
-try:  # optional: LAPFolder has a pure-Python fold
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 #: Maximum repeating-unit length the tandem detector searches for.
 MAX_UNIT = 3
@@ -244,9 +239,8 @@ def extract_laps(records: Sequence[TraceRecord], gap: int = 1) -> list[LAPEntry]
 #
 # ``total_duration`` is ``sum()`` over the burst's slice of one list:
 # the record path's summation, hence bit-identical (``np.add.reduceat``
-# sums in another order).  Without numpy the folder runs the same steps
-# on plain lists, one burst at a time.  tests/core/test_lap_golden.py
-# pins the output bit for bit.
+# sums in another order).  tests/core/test_lap_golden.py pins the
+# output bit for bit.
 
 def extract_laps_columns(cols, gap: int = 1) -> list[LAPEntry]:
     """:func:`extract_laps` over a ``TraceColumns`` -- identical output."""
@@ -440,46 +434,6 @@ def _scan(lists, s: int, e: int, reps_fn: Callable[[int, int, int], int],
         i += best_u * best_r
 
 
-# -- the pure-Python fold (numpy unavailable or disabled) ---------------------
-
-def _make_reps_fn(op: list, rs: list, off: list) -> Callable[[int, int, int], int]:
-    """The pure-Python greedy-scan repetition query over column lists:
-    ``_unit_matches`` as one walk -- row p extends the run while it
-    repeats row p-u and, from the third repetition on, keeps its
-    member's offset step."""
-
-    def reps_fn(i: int, u: int, e: int) -> int:
-        if i + u > e:
-            return 0
-        p, third = i + u, i + 2 * u
-        while (p < e and op[p] == op[p - u] and rs[p] == rs[p - u]
-               and (p < third
-                    or off[p] - off[p - u] == off[p - u] - off[p - 2 * u])):
-            p += 1
-        return (p - i) // u
-
-    return reps_fn
-
-
-def _full_run(op, off, rs, e: int, u: int) -> int:
-    """``e // u`` if the burst ``[0, e)`` is *exactly* a tandem
-    repetition of the unit of length ``u`` (with the >= 3 repetition
-    floor for multi-op units), else 0.  Runs on C-level slice
-    comparisons -- no per-event Python loop."""
-    r, rem = divmod(e, u)
-    if rem or (u > 1 and r < 3):
-        return 0
-    if r > 1:
-        if op != op[:u] * r or rs != rs[:u] * r:
-            return 0
-        for j in range(u):
-            col = off[j::u]
-            d = col[1] - col[0]
-            if col[1:] != list(map(d.__add__, col[:-1])):
-                return 0
-    return r
-
-
 class LAPFolder:
     """The one LAP extraction fold, for batch and streamed traces.
 
@@ -509,7 +463,6 @@ class LAPFolder:
         self.gap = gap
         self.op_table: list[str] = []
         self._op_index: dict[str, int] = {}
-        self._vector = numpy_enabled()
         #: (rank, file_id) -> the key's open burst (column name -> rows)
         self._open: dict[tuple[int, int], dict] = {}
         self._entries: list[LAPEntry] = []
@@ -523,7 +476,7 @@ class LAPFolder:
 
     # -- ingestion ------------------------------------------------------------
     def push(self, chunk) -> None:
-        """Fold one ``TraceColumns`` chunk (any backend, any op table)."""
+        """Fold one ``TraceColumns`` chunk (any op table)."""
         if self._finished:
             raise RuntimeError("LAPFolder already finished")
         self._fold(chunk, final=False)
@@ -537,23 +490,12 @@ class LAPFolder:
         """Fold ``chunk``; ``final`` closes its bursts, the last ones too
         (the caller knows no chunk follows and no burst is open)."""
         remap = self._remap(chunk.op_table)
-        if not self._vector:
-            lists = chunk.column_lists()
-            if remap is not None:
-                lists["op_code"] = [remap[c] for c in lists["op_code"]]
-            if self.digest is not None:
-                self.digest.update(lists)
-            self._push_lists(lists)
-            return
         n = len(chunk)
-        a = {name: np.asarray(getattr(chunk, name),
-                              dtype=np.float64 if name in FLOAT_COLUMNS
-                              else np.int64)
-             for name in ALL_COLUMNS}
+        a = {name: getattr(chunk, name) for name in ALL_COLUMNS}
         if remap is not None and n:
             a["op_code"] = np.asarray(remap, dtype=np.int64)[a["op_code"]]
         if self.digest is not None:
-            self.digest.update(a, backend="numpy")
+            self.digest.update(a)
         self.nrows += n
         if n:
             self._fold_arrays(a, final)
@@ -595,88 +537,16 @@ class LAPFolder:
             key = (int(a["rank"][s]), int(a["file_id"][s]))
             self._open[key] = {name: col[s:e].copy()
                                for name, col in a.items()}
-        self._note_open_rows()
-
-    def _note_open_rows(self) -> None:
         open_rows = sum(len(buf["tick"]) for buf in self._open.values())
-        if open_rows > self.peak_open_rows:
-            self.peak_open_rows = open_rows
-
-    # -- the pure-Python fold -------------------------------------------------
-    def _push_lists(self, lists: dict[str, list]) -> None:
-        rank, fid = lists["rank"], lists["file_id"]
-        n = len(rank)
-        self.nrows += n
-        if n == 0:
-            return
-        # (rank, file) runs via C-speed pair-equality masks
-        same = list(map(and_, map(eq, rank[1:], rank),
-                        map(eq, fid[1:], fid)))
-        a = 0
-        while a < n:
-            try:
-                b = same.index(False, a) + 1
-            except ValueError:
-                b = n
-            self._push_run((rank[a], fid[a]), lists, a, b)
-            a = b
-        self._note_open_rows()
-
-    def _push_run(self, key: tuple[int, int], lists: dict[str, list],
-                  a: int, b: int) -> None:
-        """Merge one constant-(rank, file) run into the key's burst."""
-        gap = self.gap
-        tick = lists["tick"]
-        # burst cuts inside the run: positions where the tick step > gap
-        cuts = [a]
-        gapped = list(map(gap.__lt__, map(sub, tick[a + 1:b], tick[a:b - 1])))
-        q = 0
-        while True:
-            try:
-                q = gapped.index(True, q)
-            except ValueError:
-                break
-            cuts.append(a + q + 1)
-            q += 1
-        cuts.append(b)
-        buf = self._open.get(key)
-        for s, e in zip(cuts, cuts[1:]):
-            if buf is not None and tick[s] - buf["tick"][-1] <= gap:
-                for name in ALL_COLUMNS:
-                    buf[name] += lists[name][s:e]
-            else:
-                if buf is not None:
-                    self._compress(buf)
-                buf = {name: lists[name][s:e] for name in ALL_COLUMNS}
-        self._open[key] = buf
-
-    def _compress(self, buf: dict[str, list]) -> None:
-        """Compress one closed burst held as column lists."""
-        op, off, rs = buf["op_code"], buf["offset"], buf["request_size"]
-        lists = [buf[name] for name in _SCAN_COLS]
-        kinds = _kinds(self.op_table)
-        # whole-burst fast path, in the greedy scan's preference order
-        # (see "columnar extraction" above for why it agrees)
-        for u in range(1, MAX_UNIT + 1):
-            r = _full_run(op, off, rs, len(op), u)
-            if r:
-                self._entries.append(_emit(lists, 0, u, r, self.op_table,
-                                           kinds))
-                return
-        _scan(lists, 0, len(op), _make_reps_fn(op, rs, off), self.op_table,
-              kinds, self._entries)
+        self.peak_open_rows = max(self.peak_open_rows, open_rows)
 
     # -- results --------------------------------------------------------------
     def _close_all(self) -> list[LAPEntry]:
         """Close every open burst; the entries in the batch-path order."""
         if self._open:
             bufs = [self._open.pop(key) for key in sorted(self._open)]
-            if self._vector:
-                self._fold_arrays({name: np.concatenate([b[name] for b in bufs])
-                                   for name in ALL_COLUMNS}, final=True)
-            else:
-                for buf in bufs:
-                    self._compress(buf)
+            self._fold_arrays({name: np.concatenate([b[name] for b in bufs])
+                               for name in ALL_COLUMNS}, final=True)
         self._entries.sort(key=attrgetter("rank", "file_id", "first_tick"))
         return self._entries
 

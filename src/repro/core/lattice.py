@@ -11,10 +11,8 @@ method -- faithful, but one discrete-event simulation per unique
   count, stripe sizes, link rates, ION count, cache size, ...;
 * ``BW_PK`` (eqs. 3/4) and the per-phase ``BW_CH``/``Time_io``
   (eqs. 1/2) are closed-form steady-state expressions of those arrays,
-  evaluated as one numpy program over all configurations -- with a
-  pure-Python scalar twin kept bit-identical (the same expression
-  graph runs per row), mirroring the columnar-characterization
-  pattern;
+  evaluated as one numpy program over all configurations, one
+  straight-line expression graph per (filesystem, RAID level) group;
 * the result is the familiar :class:`~repro.core.estimate.
   ConfigurationChoice` ranking plus per-config
   :class:`~repro.core.estimate.EstimateReport` views.
@@ -35,17 +33,23 @@ near-ties -- see docs/performance.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
+import numpy as np
+# elementwise shorthands the kernels' expression graphs are written in
+from numpy import ceil as cl
+from numpy import floor as fl
+from numpy import maximum as mx
+from numpy import minimum as mn
+from numpy import where as sel
+
 from repro import obs
 from repro.iosim.cluster import Cluster
 from repro.iosim.globalfs import NFS, PVFS2, Lustre
 from repro.iosim.raid import JBOD, RAID0, RAID1, RAID5, RAID6, RAID10
-from repro.tracer.columns import numpy_enabled
 
 from .phases import Phase
 from .replication import replication_for_phase
@@ -156,8 +160,7 @@ class LatticeParams:
     """Structured parameter arrays over N candidate configurations."""
 
     names: list[str]
-    cols: dict[str, "object"]  # field -> ndarray (numpy) | list (python)
-    backend: str
+    cols: dict[str, np.ndarray]  # field -> float64 column
     _groups: dict | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -165,42 +168,28 @@ class LatticeParams:
         return len(self.names)
 
     @classmethod
-    def from_rows(cls, names: Sequence[str], rows: Sequence[dict],
-                  backend: str | None = None) -> "LatticeParams":
-        backend = backend or ("numpy" if numpy_enabled() else "python")
-        cols: dict[str, object] = {}
-        if backend == "numpy":
-            import numpy as np
-            for f in FIELDS:
-                cols[f] = np.array([r[f] for r in rows], dtype=np.float64)
-        else:
-            for f in FIELDS:
-                cols[f] = [float(r[f]) for r in rows]
-        return cls(names=list(names), cols=cols, backend=backend)
+    def from_rows(cls, names: Sequence[str],
+                  rows: Sequence[dict]) -> "LatticeParams":
+        cols = {f: np.array([r[f] for r in rows], dtype=np.float64)
+                for f in FIELDS}
+        return cls(names=list(names), cols=cols)
 
     @classmethod
-    def from_clusters(cls, clusters: dict[str, Cluster],
-                      backend: str | None = None) -> "LatticeParams":
+    def from_clusters(cls, clusters: dict[str, Cluster]) -> "LatticeParams":
         rows = [extract_row(c) for c in clusters.values()]
-        return cls.from_rows(list(clusters.keys()), rows, backend=backend)
+        return cls.from_rows(list(clusters.keys()), rows)
 
     @classmethod
-    def from_factories(cls, factories: dict[str, Callable[[], Cluster]],
-                       backend: str | None = None) -> "LatticeParams":
+    def from_factories(cls, factories: dict[str, Callable[[], Cluster]]
+                       ) -> "LatticeParams":
         """Build each candidate once and flatten it into the lattice."""
-        return cls.from_clusters(
-            {name: f() for name, f in factories.items()}, backend=backend)
-
-    def row(self, i: int) -> SimpleNamespace:
-        return SimpleNamespace(
-            **{f: float(self.cols[f][i]) for f in FIELDS})
+        return cls.from_clusters({name: f() for name, f in factories.items()})
 
     def groups(self):
         """(gfs, level) -> index array; kernel branches are uniform
         within a group, so each group evaluates as straight-line numpy.
         Built once: ``cols`` never changes after construction."""
         if self._groups is None:
-            import numpy as np
             gfs, level = self.cols["gfs"], self.cols["level"]
             keys = {(int(g), int(l)) for g, l in zip(gfs.tolist(),
                                                      level.tolist())}
@@ -214,47 +203,21 @@ class LatticeParams:
 
 
 # ---------------------------------------------------------------------------
-# kernels: one expression graph, two drivers (numpy rows / scalar rows)
+# kernels: one elementwise expression graph per (gfs, level) group
 # ---------------------------------------------------------------------------
 
 def _evaluate(params: LatticeParams, kernel):
-    """Run ``kernel(g, gfs, level, mx, mn, fl, cl, sel)`` over all rows.
-
-    The numpy driver evaluates whole (gfs, level) groups as subarrays;
-    the python driver evaluates row by row with scalar helpers.  Both
-    execute the identical elementwise expression graph, so the results
-    are bit-identical (the PR 3 columnar twin-backend contract).
-    """
-    if params.backend == "numpy":
-        import numpy as np
-
-        def sel(cond, a, b):
-            return np.where(cond, a, b)
-
-        out = np.empty(len(params), dtype=np.float64)
-        for (gfs, level), idx in params.groups().items():
-            g = SimpleNamespace(
-                **{f: params.cols[f][idx] for f in FIELDS})
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[idx] = kernel(g, gfs, level, np.maximum, np.minimum,
-                                  np.floor, np.ceil, sel)
-        return out
-
-    def ssel(cond, a, b):
-        return a if cond else b
-
-    def sfl(x):
-        return float(math.floor(x))
-
-    def scl(x):
-        return float(math.ceil(x))
-
-    return [kernel(params.row(i), int(params.cols["gfs"][i]),
-                   int(params.cols["level"][i]), max, min, sfl, scl, ssel)
-            for i in range(len(params))]
+    """Run ``kernel(g, gfs, level)`` over all rows, one (gfs, level)
+    group of subarrays at a time (``g`` holds the group's columns)."""
+    out = np.empty(len(params), dtype=np.float64)
+    for (gfs, level), idx in params.groups().items():
+        g = SimpleNamespace(**{f: params.cols[f][idx] for f in FIELDS})
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[idx] = kernel(g, gfs, level)
+    return out
 
 
-def _peak_kernel(g, gfs, level, mx, mn, fl, cl, sel, kind="write"):
+def _peak_kernel(g, gfs, level, kind="write"):
     write = kind == "write"
     dbw = g.d_wbw_B if write else g.d_rbw_B
     if level == LVL_JBOD:
@@ -277,7 +240,7 @@ def _peak_kernel(g, gfs, level, mx, mn, fl, cl, sel, kind="write"):
     return agg / MBf
 
 
-def _vol_write_peak(g, level, fl):
+def _vol_write_peak(g, level):
     """Volume streaming write peak in B/s (the cache drain rate)."""
     if level == LVL_JBOD:
         return g.d_wbw_B
@@ -304,7 +267,7 @@ class _KindCase:
     collective: bool
 
 
-def _bw_kernel(g, gfs, level, mx, mn, fl, cl, sel, case=None):
+def _bw_kernel(g, gfs, level, case=None):
     """Analytic BW_CH (MB/s) of one replication run on every config.
 
     Steady state of the closed client -> NIC -> FS -> members network:
@@ -401,7 +364,7 @@ def _bw_kernel(g, gfs, level, mx, mn, fl, cl, sel, case=None):
         b_m = b_m_override
     else:
         b_m = req_rate * t_req / spread           # per-member busy per cycle
-    cache_s = g.cache_b / _vol_write_peak(g, level, fl)
+    cache_s = g.cache_b / _vol_write_peak(g, level)
 
     # Per-op critical path.  The simulated path is cut-through: the
     # server NIC is acquired at client-send *begin* (+ link latency)
@@ -524,31 +487,16 @@ def evaluate_lattice(phases: Sequence[Phase],
             obs.inc("lattice_phase_evals_total",
                     amount=len(sig_bw) * n)
 
-        # Accumulate eq. (1) totals in phase order (both backends sum in
-        # the same order, keeping numpy and python bit-identical).
-        if params.backend == "numpy":
-            import numpy as np
-            totals = np.zeros(n, dtype=np.float64)
-            for ph, by_kind in phase_bw:
-                vals = list(by_kind.values())
-                bw_ch = vals[0]
-                for v in vals[1:]:
-                    bw_ch = bw_ch + v
-                bw_ch = bw_ch / float(len(vals))
-                totals = totals + (ph.weight / MBf) / bw_ch
-            totals_list = [float(t) for t in totals]
-        else:
-            totals_list = [0.0] * n
-            for ph, by_kind in phase_bw:
-                vals = list(by_kind.values())
-                nv = float(len(vals))
-                w = ph.weight / MBf
-                for i in range(n):
-                    bw_ch = vals[0][i]
-                    for v in vals[1:]:
-                        bw_ch = bw_ch + v[i]
-                    totals_list[i] += w / (bw_ch / nv)
-        return LatticeSelection(params, phases, totals_list, phase_bw)
+        # Accumulate eq. (1) totals in phase order.
+        totals = np.zeros(n, dtype=np.float64)
+        for ph, by_kind in phase_bw:
+            vals = list(by_kind.values())
+            bw_ch = vals[0]
+            for v in vals[1:]:
+                bw_ch = bw_ch + v
+            bw_ch = bw_ch / float(len(vals))
+            totals = totals + (ph.weight / MBf) / bw_ch
+        return LatticeSelection(params, phases, totals.tolist(), phase_bw)
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +601,9 @@ class ConfigSpace:
         """Picklable per-point factories, in lattice enumeration order."""
         return {p.name: partial(build_point, p) for p in self.points()}
 
-    def params(self, backend: str | None = None) -> LatticeParams:
+    def params(self) -> LatticeParams:
         """The lattice parameter arrays for every point."""
         pts = self.points()
         return LatticeParams.from_rows(
             [p.name for p in pts],
-            [extract_row(build_point(p)) for p in pts],
-            backend=backend)
+            [extract_row(build_point(p)) for p in pts])

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-try:  # optional fast path for fit_offsets_arrays
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-from repro.tracer.columns import numpy_enabled
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,7 @@ def fit_offsets_arrays(ranks: Sequence[int],
     function and its table are identical whichever path runs.
     """
     n = len(ranks)
-    if n > 2 and n >= _NUMPY_MIN_N and numpy_enabled():
+    if n > 2 and n >= _NUMPY_MIN_N:
         try:
             r = np.asarray(ranks, dtype=np.int64)
             o = np.asarray(offsets, dtype=np.int64)

@@ -11,8 +11,6 @@ column file per run.
 from .columns import (
     ABS_OFFSET_UNKNOWN,
     TraceColumns,
-    default_backend,
-    numpy_enabled,
     read_trace_columns,
 )
 from .hooks import TraceBundle, Tracer, trace_run
@@ -34,9 +32,7 @@ __all__ = [
     "TraceColumns",
     "TraceRecord",
     "Tracer",
-    "default_backend",
     "iter_by_rank",
-    "numpy_enabled",
     "read_trace_columns",
     "read_trace_file",
     "summarize_file",

@@ -24,23 +24,9 @@ and op-table interning order) is asserted by
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-try:  # numpy is optional everywhere in the tracer
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy CI job
-    np = None
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-__all__ = ["bulk_available", "bulk_parse"]
-
-
-def bulk_available() -> bool:
-    """True when the numpy kernel may engage (import + env gates)."""
-    return (np is not None
-            and os.environ.get("REPRO_NO_NUMPY", "").lower() not in _TRUTHY
-            and os.environ.get("REPRO_NO_BULK", "").lower() not in _TRUTHY)
+__all__ = ["bulk_parse"]
 
 
 def _pow10():

@@ -8,23 +8,18 @@ events, per-event Python objects dominate both memory and CPU, while
 columns parse in bulk, sort with one ``lexsort`` and feed the
 vectorized LAP/phase kernels of :mod:`repro.core.lap`.
 
-Two interchangeable backends:
-
-* ``"numpy"`` -- int64/float64 ``ndarray`` columns (the default when
-  numpy is importable and ``REPRO_NO_NUMPY`` is not set);
-* ``"python"`` -- plain lists of ints/floats, so numpy stays an
-  *optional* dependency.  Every operation, including the packed binary
-  format, works identically on both.
+Every column is a numpy ``ndarray``: int64 for the integer fields,
+float64 for ``time`` and ``duration``.
 
 On-disk formats:
 
 * the Fig. 2 **text** format (via :func:`read_trace_columns`, sharing
   the strict header/error handling of ``read_trace_file``);
 * a **packed-struct binary** format (``.trc``: magic + JSON header +
-  little-endian int64/float64 column blobs), readable and writable by
-  both backends;
-* a **compressed npz** format (``.npz``, numpy only) for the smallest
-  on-disk footprint.
+  little-endian int64/float64 column blobs), also the wire and
+  parse-cache encoding;
+* a **compressed npz** format (``.npz``) for the smallest on-disk
+  footprint.
 
 Round-trip parity between the three is asserted by
 ``tests/tracer/test_columns.py``.
@@ -33,19 +28,13 @@ Round-trip parity between the three is asserted by
 from __future__ import annotations
 
 import json
-import os
 import re
-import sys
-from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .tracefile import ABS_OFFSET_UNKNOWN, HEADER, TraceRecord
+import numpy as np
 
-try:  # numpy is optional: every code path below has a pure-Python twin
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+from .tracefile import ABS_OFFSET_UNKNOWN, HEADER, TraceRecord
 
 #: Column names in serialization order (ints first, then floats).
 INT_COLUMNS = ("rank", "file_id", "op_code", "offset", "tick",
@@ -56,24 +45,14 @@ ALL_COLUMNS = INT_COLUMNS + FLOAT_COLUMNS
 #: Packed binary format magic (version 1).
 MAGIC = b"REPROTRC1\n"
 
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def numpy_enabled() -> bool:
-    """numpy importable and not disabled via ``REPRO_NO_NUMPY``."""
-    return np is not None and \
-        os.environ.get("REPRO_NO_NUMPY", "").lower() not in _TRUTHY
+#: The int64 range every integer column must fit.
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def check_chunk_rows(chunk_rows: int) -> None:
     """Reject a non-positive streaming chunk size up front."""
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-
-
-def default_backend() -> str:
-    """The column backend new TraceColumns use: "numpy" or "python"."""
-    return "numpy" if numpy_enabled() else "python"
 
 
 def intern_ops(ops: Iterable[str], op_table: list[str],
@@ -90,43 +69,24 @@ def intern_ops(ops: Iterable[str], op_table: list[str],
     return remap
 
 
-def _as_int_column(values, backend: str):
-    if backend == "numpy":
-        return np.asarray(values, dtype=np.int64)
-    return list(values)
-
-
-def _as_float_column(values, backend: str):
-    if backend == "numpy":
-        return np.asarray(values, dtype=np.float64)
-    return list(values)
-
-
 class TraceColumns:
     """One trace as parallel columns plus an interned op-name table."""
 
-    __slots__ = ALL_COLUMNS + ("op_table", "backend")
+    __slots__ = ALL_COLUMNS + ("op_table",)
 
     def __init__(self, *, rank, file_id, op_code, offset, tick,
                  request_size, time, duration, abs_offset,
-                 op_table: Sequence[str], backend: str | None = None):
-        backend = backend or default_backend()
-        if backend not in ("numpy", "python"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "numpy" and np is None:
-            raise RuntimeError("numpy backend requested but numpy is not "
-                               "importable")
-        self.backend = backend
+                 op_table: Sequence[str]):
         self.op_table = list(op_table)
-        self.rank = _as_int_column(rank, backend)
-        self.file_id = _as_int_column(file_id, backend)
-        self.op_code = _as_int_column(op_code, backend)
-        self.offset = _as_int_column(offset, backend)
-        self.tick = _as_int_column(tick, backend)
-        self.request_size = _as_int_column(request_size, backend)
-        self.abs_offset = _as_int_column(abs_offset, backend)
-        self.time = _as_float_column(time, backend)
-        self.duration = _as_float_column(duration, backend)
+        self.rank = np.asarray(rank, dtype=np.int64)
+        self.file_id = np.asarray(file_id, dtype=np.int64)
+        self.op_code = np.asarray(op_code, dtype=np.int64)
+        self.offset = np.asarray(offset, dtype=np.int64)
+        self.tick = np.asarray(tick, dtype=np.int64)
+        self.request_size = np.asarray(request_size, dtype=np.int64)
+        self.abs_offset = np.asarray(abs_offset, dtype=np.int64)
+        self.time = np.asarray(time, dtype=np.float64)
+        self.duration = np.asarray(duration, dtype=np.float64)
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -134,8 +94,7 @@ class TraceColumns:
         return {name: [] for name in ALL_COLUMNS}
 
     @classmethod
-    def from_records(cls, records: Iterable[TraceRecord],
-                     backend: str | None = None) -> "TraceColumns":
+    def from_records(cls, records: Iterable[TraceRecord]) -> "TraceColumns":
         """Build columns from TraceRecord rows (order preserved)."""
         cols = cls._empty_lists()
         op_table: list[str] = []
@@ -152,53 +111,48 @@ class TraceColumns:
             a_rank(r.rank); a_fid(r.file_id); a_op(code)
             a_off(r.offset); a_tick(r.tick); a_rs(r.request_size)
             a_t(r.time); a_d(r.duration); a_abs(r.abs_offset)
-        return cls(op_table=op_table, backend=backend, **cols)
+        return cls(op_table=op_table, **cols)
 
     @classmethod
-    def from_stream(cls, chunks: Iterable["TraceColumns"],
-                    backend: str | None = None) -> "TraceColumns":
+    def from_stream(cls, chunks: Iterable["TraceColumns"]) -> "TraceColumns":
         """Build one trace from an iterable of column *chunks*.
 
-        Like :meth:`concat`, but consuming the chunks lazily (the
-        iterable is never materialized as a list) and remapping each
-        chunk's op codes onto one merged table in first-appearance
-        order -- the same interning order ``from_records`` /
-        ``from_events`` produce, so the result's
+        Each chunk's op codes are remapped onto one merged table in
+        first-appearance order -- the same interning order
+        ``from_records`` / ``from_events`` produce, so the result's
         :meth:`content_digest` matches the equivalent one-shot build.
+        The iterable is consumed lazily (never materialized as a list
+        of chunks); only the chunks' column arrays are kept until the
+        final concatenation.
         """
-        out_backend = backend
-        cols = cls._empty_lists()
+        arrs: dict[str, list] = {name: [] for name in ALL_COLUMNS}
         op_table: list[str] = []
         op_index: dict[str, int] = {}
         for part in chunks:
-            if out_backend is None:
-                out_backend = part.backend
             remap = intern_ops(part.op_table, op_table, op_index)
-            lists = part.column_lists()
-            if remap != list(range(len(remap))):
-                lists["op_code"] = [remap[c] for c in lists["op_code"]]
+            codes = part.op_code
+            if remap != list(range(len(remap))) and len(codes):
+                codes = np.asarray(remap, dtype=np.int64)[codes]
             for name in ALL_COLUMNS:
-                cols[name].extend(lists[name])
-        return cls(op_table=op_table, backend=out_backend, **cols)
+                arrs[name].append(codes if name == "op_code"
+                                  else getattr(part, name))
+        cols = {name: np.concatenate(arrs[name]) if arrs[name] else ()
+                for name in ALL_COLUMNS}
+        return cls(op_table=op_table, **cols)
 
     @classmethod
-    def from_events(cls, events: Iterable,
-                    backend: str | None = None) -> "TraceColumns":
+    def from_events(cls, events: Iterable) -> "TraceColumns":
         """Build columns straight from engine ``IOEvent`` objects (they
         carry the TraceRecord fields under the same names)."""
-        return cls.from_records(events, backend=backend)
+        return cls.from_records(events)
 
     # -- basic views ----------------------------------------------------------
     def __len__(self) -> int:
         return len(self.rank)
 
     def column_lists(self) -> dict[str, list]:
-        """Every column as a plain Python list (cheap on both backends)."""
-        out = {}
-        for name in ALL_COLUMNS:
-            col = getattr(self, name)
-            out[name] = col.tolist() if self.backend == "numpy" else list(col)
-        return out
+        """Every column as a plain Python list."""
+        return {name: getattr(self, name).tolist() for name in ALL_COLUMNS}
 
     def op_at(self, i: int) -> str:
         return self.op_table[int(self.op_code[i])]
@@ -228,95 +182,46 @@ class TraceColumns:
 
     @property
     def total_bytes(self) -> int:
-        if self.backend == "numpy":
-            return int(self.request_size.sum())
-        return sum(self.request_size)
+        return int(self.request_size.sum())
 
     @property
     def nfiles(self) -> int:
-        if self.backend == "numpy":
-            return len(np.unique(self.file_id)) if len(self) else 0
-        return len(set(self.file_id))
+        return len(np.unique(self.file_id))
 
     # -- reordering -----------------------------------------------------------
     def take(self, indices) -> "TraceColumns":
         """New TraceColumns holding rows ``indices`` in that order."""
-        kwargs = {}
-        if self.backend == "numpy":
-            if isinstance(indices, range) and indices.step == 1:
-                # contiguous row window: O(1) views instead of an O(n)
-                # index materialization + fancy-index copy -- this is
-                # the binary-bundle streaming re-slice hot path
-                for name in ALL_COLUMNS:
-                    kwargs[name] = getattr(self, name)[indices.start:
-                                                       indices.stop]
-                return TraceColumns(op_table=self.op_table,
-                                    backend=self.backend, **kwargs)
-            idx = np.asarray(indices)
-            for name in ALL_COLUMNS:
-                kwargs[name] = getattr(self, name)[idx]
+        if isinstance(indices, range) and indices.step == 1:
+            # contiguous row window: O(1) views instead of an O(n)
+            # index materialization + fancy-index copy -- this is the
+            # binary-bundle streaming re-slice hot path
+            rows = slice(indices.start, indices.stop)
         else:
-            indices = list(indices)
-            for name in ALL_COLUMNS:
-                col = getattr(self, name)
-                kwargs[name] = [col[i] for i in indices]
-        return TraceColumns(op_table=self.op_table, backend=self.backend,
-                            **kwargs)
+            rows = np.asarray(indices, dtype=np.intp)
+        return TraceColumns(op_table=self.op_table,
+                            **{name: getattr(self, name)[rows]
+                               for name in ALL_COLUMNS})
 
     def sorted_canonical(self) -> "TraceColumns":
         """Stable sort by (rank, time, tick) -- the Tracer bundle order."""
-        n = len(self)
-        if n <= 1:
+        if len(self) <= 1:
             return self
-        if self.backend == "numpy":
-            order = np.lexsort((self.tick, self.time, self.rank))
-            return self.take(order)
-        order = sorted(range(n), key=lambda i: (self.rank[i], self.time[i],
-                                                self.tick[i]))
-        return self.take(order)
+        return self.take(np.lexsort((self.tick, self.time, self.rank)))
 
     @classmethod
-    def concat(cls, parts: Sequence["TraceColumns"],
-               backend: str | None = None) -> "TraceColumns":
+    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
         """Concatenate traces (per-rank files -> one bundle), remapping
         each part's op codes onto a merged op table."""
-        backend = backend or (parts[0].backend if parts else default_backend())
-        if backend == "numpy" and np is not None \
-                and all(p.backend == "numpy" for p in parts):
-            # array fast path: remap op codes through a lookup vector
-            # and concatenate columns wholesale -- no per-row Python
-            # loop.  Interning order (first appearance across parts)
-            # matches the list path, so content_digest is unchanged.
-            arrs: dict[str, list] = {name: [] for name in ALL_COLUMNS}
-            op_table: list[str] = []
-            op_index: dict[str, int] = {}
-            for part in parts:
-                remap = intern_ops(part.op_table, op_table, op_index)
-                codes = part.op_code
-                if remap != list(range(len(remap))) and len(codes):
-                    codes = np.asarray(remap, dtype=np.int64)[codes]
-                for name in ALL_COLUMNS:
-                    col = codes if name == "op_code" else getattr(part, name)
-                    arrs[name].append(col)
-            kwargs = {}
-            for name in ALL_COLUMNS:
-                if arrs[name]:
-                    kwargs[name] = np.concatenate(arrs[name])
-                else:
-                    dtype = np.float64 if name in FLOAT_COLUMNS else np.int64
-                    kwargs[name] = np.zeros(0, dtype=dtype)
-            return cls(op_table=op_table, backend=backend, **kwargs)
-        return cls.from_stream(parts, backend=backend)
+        return cls.from_stream(parts)
 
     def content_digest(self) -> str:
-        """sha256 hex digest of the trace content (backend-independent).
+        """sha256 hex digest of the trace content.
 
         Hashes per-column sub-digests of the canonical little-endian
         column blobs (the packed ``.trc`` encoding) plus the op table,
-        so the numpy and python backends -- and a round-trip through
-        any of the on-disk formats -- produce the same digest.  Used as
-        the content address of characterization results in the
-        persistent store.
+        so a round-trip through any of the on-disk formats produces the
+        same digest.  Used as the content address of characterization
+        results in the persistent store.
 
         The column sub-digest structure makes the digest *streamable*:
         a :class:`StreamDigest` fed the same rows chunk by chunk
@@ -324,8 +229,7 @@ class TraceColumns:
         full columns (per-chunk blobs concatenate to per-column blobs).
         """
         sd = StreamDigest()
-        sd.update({name: getattr(self, name) for name in ALL_COLUMNS},
-                  backend=self.backend)
+        sd.update({name: getattr(self, name) for name in ALL_COLUMNS})
         return sd.finalize(self.op_table)
 
     # -- persistence ----------------------------------------------------------
@@ -343,27 +247,15 @@ class TraceColumns:
                   "columns": list(ALL_COLUMNS)}
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         for name in INT_COLUMNS:
-            f.write(_int_blob(getattr(self, name), self.backend))
+            f.write(_int_blob(getattr(self, name)))
         for name in FLOAT_COLUMNS:
-            f.write(_float_blob(getattr(self, name), self.backend))
+            f.write(_float_blob(getattr(self, name)))
 
     @classmethod
-    def load_trc(cls, f, backend: str | None = None,
-                 what: str = "<stream>") -> "TraceColumns":
-        """Read one packed ``.trc`` encoding from a binary file object."""
-        backend = backend or default_backend()
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{what}: not a packed trace file "
-                             f"(bad magic {magic!r})")
-        header = json.loads(f.readline().decode("utf-8"))
-        n = header["n"]
-        kwargs = {}
-        for name in INT_COLUMNS:
-            kwargs[name] = _read_int_blob(f, n, backend)
-        for name in FLOAT_COLUMNS:
-            kwargs[name] = _read_float_blob(f, n, backend)
-        return cls(op_table=header["op_table"], backend=backend, **kwargs)
+    def load_trc(cls, f, what: str = "<stream>") -> "TraceColumns":
+        """Read one packed ``.trc`` encoding from a binary file object
+        (the rest of the file: one encoding per file)."""
+        return cls._decode(f.read(), what)
 
     def to_bytes(self) -> bytes:
         """The packed ``.trc`` encoding as one bytes object."""
@@ -374,16 +266,43 @@ class TraceColumns:
         return buf.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes,
-                   backend: str | None = None) -> "TraceColumns":
+    def from_bytes(cls, data: bytes) -> "TraceColumns":
         """Decode a :meth:`to_bytes` blob (the ``.trc`` wire format)."""
-        import io
+        return cls._decode(data, "<bytes>")
 
-        return cls.load_trc(io.BytesIO(data), backend=backend,
-                            what="<bytes>")
+    @classmethod
+    def _decode(cls, data: bytes, what: str) -> "TraceColumns":
+        """Decode one ``.trc`` encoding.  The bytes may be untrusted
+        (parse-cache entries, wire frames, bundles): a bad magic or
+        header, a short column blob or an op code outside the op table
+        raises ``ValueError``; no allocation is sized from the header."""
+        if data[:len(MAGIC)] != MAGIC:
+            raise ValueError(f"{what}: not a packed trace file "
+                             f"(bad magic {bytes(data[:len(MAGIC)])!r})")
+        eol = data.find(b"\n", len(MAGIC))
+        eol = len(data) if eol < 0 else eol
+        try:
+            header = json.loads(data[len(MAGIC):eol])
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:
+            raise ValueError(f"{what}: bad packed trace header: {exc}") \
+                from None
+        n, op_table = _check_header(header, what)
+        start = eol + 1
+        if len(data) - start < 8 * n * len(ALL_COLUMNS):
+            raise ValueError(f"{what}: truncated packed trace file")
+        kwargs = {name: np.frombuffer(data, count=n,
+                                      offset=start + 8 * n * i,
+                                      dtype="<f8" if name in FLOAT_COLUMNS
+                                      else "<i8").copy()
+                  for i, name in enumerate(ALL_COLUMNS)}
+        codes = kwargs["op_code"]
+        if n and (codes.min() < 0 or codes.max() >= len(op_table)):
+            raise ValueError(f"{what}: op code outside the op table")
+        return cls(op_table=op_table, **kwargs)
 
     def save(self, path: str | Path) -> Path:
-        """Write the binary trace: ``.npz`` (numpy) or packed ``.trc``.
+        """Write the binary trace: compressed ``.npz`` or packed ``.trc``.
 
         Both formats write atomically (temp file in the same directory,
         then rename): a killed run never leaves a truncated bundle that
@@ -393,9 +312,6 @@ class TraceColumns:
 
         path = Path(path)
         if path.suffix == ".npz":
-            if np is None:
-                raise RuntimeError(".npz requires numpy; use the packed "
-                                   "'.trc' format instead")
             with atomic_path(path) as tmp:
                 np.savez_compressed(
                     tmp, op_table=np.array(self.op_table, dtype=str),
@@ -408,23 +324,16 @@ class TraceColumns:
         return path
 
     @classmethod
-    def load(cls, path: str | Path,
-             backend: str | None = None) -> "TraceColumns":
+    def load(cls, path: str | Path) -> "TraceColumns":
         """Read a binary trace written by :meth:`save` (either format)."""
         path = Path(path)
-        backend = backend or default_backend()
         if path.suffix == ".npz":
-            if np is None:
-                raise RuntimeError(f"{path} is an .npz trace but numpy is "
-                                   "not importable")
             with np.load(path) as data:
                 op_table = [str(x) for x in data["op_table"]]
                 kwargs = {name: data[name] for name in ALL_COLUMNS}
-            if backend == "python":
-                kwargs = {k: v.tolist() for k, v in kwargs.items()}
-            return cls(op_table=op_table, backend=backend, **kwargs)
+            return cls(op_table=op_table, **kwargs)
         with path.open("rb") as f:
-            return cls.load_trc(f, backend=backend, what=str(path))
+            return cls.load_trc(f, what=str(path))
 
 
 class StreamDigest:
@@ -446,14 +355,13 @@ class StreamDigest:
         self._cols = {name: hashlib.sha256() for name in ALL_COLUMNS}
         self.nrows = 0
 
-    def update(self, lists: Mapping[str, Sequence],
-               backend: str = "python") -> None:
-        """Fold one chunk (a column-name -> sequence mapping)."""
+    def update(self, cols: Mapping[str, Sequence]) -> None:
+        """Fold one chunk (a column-name -> array mapping)."""
         for name in INT_COLUMNS:
-            self._cols[name].update(_int_blob(lists[name], backend))
+            self._cols[name].update(_int_blob(cols[name]))
         for name in FLOAT_COLUMNS:
-            self._cols[name].update(_float_blob(lists[name], backend))
-        self.nrows += len(lists["rank"])
+            self._cols[name].update(_float_blob(cols[name]))
+        self.nrows += len(cols["rank"])
 
     def finalize(self, op_table: Sequence[str]) -> str:
         """The digest of the concatenated chunks (repeatable)."""
@@ -468,52 +376,36 @@ class StreamDigest:
         return h.hexdigest()
 
 
-def _int_blob(col, backend: str):
-    """A column's little-endian int64 blob, as a bytes-like object: a
-    numpy column is hashed or written in place, never copied."""
-    if backend == "numpy":
-        return memoryview(np.ascontiguousarray(col, dtype="<i8")).cast("B")
-    a = array("q", col)
-    if sys.byteorder == "big":  # pragma: no cover
-        a.byteswap()
-    return a.tobytes()
+def _int_blob(col):
+    """A column's little-endian int64 blob, as a bytes-like object: the
+    column is hashed or written in place, never copied."""
+    return memoryview(np.ascontiguousarray(col, dtype="<i8")).cast("B")
 
 
-def _float_blob(col, backend: str):
-    if backend == "numpy":
-        return memoryview(np.ascontiguousarray(col, dtype="<f8")).cast("B")
-    a = array("d", col)
-    if sys.byteorder == "big":  # pragma: no cover
-        a.byteswap()
-    return a.tobytes()
+def _float_blob(col):
+    return memoryview(np.ascontiguousarray(col, dtype="<f8")).cast("B")
 
 
-def _read_blob(f, n: int, typecode: str, dtype: str, backend: str):
-    blob = f.read(8 * n)
-    if len(blob) != 8 * n:
-        raise ValueError("truncated packed trace file")
-    if backend == "numpy":
-        return np.frombuffer(blob, dtype=dtype).copy()
-    a = array(typecode)
-    a.frombytes(blob)
-    if sys.byteorder == "big":  # pragma: no cover
-        a.byteswap()
-    return list(a)
-
-
-def _read_int_blob(f, n: int, backend: str):
-    return _read_blob(f, n, "q", "<i8", backend)
-
-
-def _read_float_blob(f, n: int, backend: str):
-    return _read_blob(f, n, "d", "<f8", backend)
+def _check_header(header, what: str) -> tuple[int, list[str]]:
+    """Validate a decoded ``.trc`` header; returns ``(n, op_table)``."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{what}: packed trace header is not an object")
+    n, op_table = header.get("n"), header.get("op_table")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what}: bad row count {n!r}")
+    if not (isinstance(op_table, list)
+            and all(isinstance(op, str) for op in op_table)):
+        raise ValueError(f"{what}: op_table is not a list of strings")
+    if header.get("columns") != list(ALL_COLUMNS):
+        raise ValueError(f"{what}: unexpected column layout "
+                         f"{header.get('columns')!r}")
+    return n, op_table
 
 
 # -- text-format parsing ------------------------------------------------------
 
 def read_trace_columns(path: str | Path, *,
                        etype_size: int | Mapping[int, int] | None = None,
-                       backend: str | None = None,
                        chunk_lines: int = 1 << 16,
                        quarantine=None,
                        jobs: int | None = None,
@@ -544,13 +436,13 @@ def read_trace_columns(path: str | Path, *,
     """
     from .ingest import ingest_columns
 
-    return ingest_columns(path, etype_size=etype_size, backend=backend,
+    return ingest_columns(path, etype_size=etype_size,
                           chunk_lines=chunk_lines, quarantine=quarantine,
                           jobs=jobs, cache=cache)
 
 
 def _read_trace_columns_lines(path: str | Path, *,
-                              etype_size=None, backend: str | None = None,
+                              etype_size=None,
                               chunk_lines: int = 1 << 16,
                               quarantine=None) -> TraceColumns:
     """The classic chunked line-wise parse (the ingest reference path).
@@ -561,7 +453,6 @@ def _read_trace_columns_lines(path: str | Path, *,
     before-leg can run it directly.
     """
     path = Path(path)
-    backend = backend or default_backend()
     cols = TraceColumns._empty_lists()
     op_table: list[str] = []
     op_index: dict[str, int] = {}
@@ -570,12 +461,11 @@ def _read_trace_columns_lines(path: str | Path, *,
             _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
                          etype_size, quarantine)
     # columns accumulate as plain lists; one bulk conversion at the end
-    return TraceColumns(op_table=op_table, backend=backend, **cols)
+    return TraceColumns(op_table=op_table, **cols)
 
 
 def iter_trace_column_chunks(path: str | Path, *,
                              etype_size: int | Mapping[int, int] | None = None,
-                             backend: str | None = None,
                              chunk_rows: int = 1 << 16,
                              quarantine=None) -> Iterator[TraceColumns]:
     """Stream a Fig. 2 text trace as ``TraceColumns`` chunks.
@@ -589,7 +479,6 @@ def iter_trace_column_chunks(path: str | Path, *,
     """
     check_chunk_rows(chunk_rows)
     path = Path(path)
-    backend = backend or default_backend()
     op_table: list[str] = []
     op_index: dict[str, int] = {}
 
@@ -599,8 +488,7 @@ def iter_trace_column_chunks(path: str | Path, *,
             _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
                          etype_size, quarantine)
             if cols["rank"]:
-                yield TraceColumns(op_table=list(op_table), backend=backend,
-                                   **cols)
+                yield TraceColumns(op_table=list(op_table), **cols)
 
 
 #: readlines() size hint per batch: trace rows run ~50-80 bytes, so a
@@ -701,6 +589,9 @@ def _parse_chunk_flat(raw_lines, cols, op_table, op_index) -> bool:
         abs_off = list(map(int, flat[8::9]))
     except ValueError:
         return False  # malformed value: let the exact parser locate it
+    for col in (rank, fid, off, tick, rs, abs_off):
+        if min(col) < I64_MIN or max(col) > I64_MAX:
+            return False  # outside int64: the exact parser reports it
     codes = []
     append_code = codes.append
     get = op_index.get
@@ -753,12 +644,18 @@ def _parse_chunk_rows(pending, rows, path, cols, op_table, op_index,
                 es = etype_size.get(fid) if is_map else etype_size
                 abs_off = off * es if es else ABS_OFFSET_UNKNOWN
         except ValueError:
+            reason = "malformed trace line"
+        else:
+            reason = None
+            for v in (rank, fid, off, tick, rs, abs_off):
+                if not I64_MIN <= v <= I64_MAX:
+                    reason = "integer field outside int64"
+                    break
+        if reason is not None:
             if salvaging:
-                quarantine.note(path, guess_rank(line), lineno,
-                                "malformed trace line", line)
+                quarantine.note(path, guess_rank(line), lineno, reason, line)
                 continue
-            raise ValueError(f"{path}:{lineno}: malformed trace line: "
-                             f"{line!r}") from None
+            raise ValueError(f"{path}:{lineno}: {reason}: {line!r}")
         cols["rank"].append(rank)
         cols["file_id"].append(fid)
         op = parts[2]

@@ -30,7 +30,7 @@ from repro.ioutil import atomic_write_text
 from repro.simmpi.engine import Engine
 from repro.simmpi.fileio import IOEvent
 
-from .columns import TraceColumns, check_chunk_rows, numpy_enabled
+from .columns import TraceColumns, check_chunk_rows
 from .metadata import AppMetadata
 from .tracefile import TraceRecord, write_trace_file
 
@@ -88,13 +88,11 @@ class TraceBundle:
     def save(self, directory: str | Path, binary: bool = False) -> None:
         """Write the trace: ``trace.<rank>`` text files (the paper's
         Fig. 2 layout) or, with ``binary=True``, one compact columnar
-        file (``columns.npz`` under numpy, packed ``columns.trc``
-        otherwise) -- plus ``metadata.json`` either way."""
+        file (``columns.npz``) -- plus ``metadata.json`` either way."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if binary:
-            name = "columns.npz" if numpy_enabled() else "columns.trc"
-            self.columns.save(directory / name)
+            self.columns.save(directory / "columns.npz")
         else:
             for rank in range(self.nprocs):
                 write_trace_file(directory / f"trace.{rank}",
@@ -177,7 +175,7 @@ class TraceBundle:
 
 
 def stream_bundle(directory: str | Path, chunk_rows: int = 1 << 16,
-                  backend: str | None = None, jobs: int | None = None):
+                  jobs: int | None = None):
     """Open a saved bundle for *streaming* characterization.
 
     Returns ``(nprocs, metadata, chunks)`` where ``chunks`` lazily
@@ -211,7 +209,7 @@ def stream_bundle(directory: str | Path, chunk_rows: int = 1 << 16,
 
     def chunks():
         if binpath is not None:
-            cols = TraceColumns.load(binpath, backend=backend)
+            cols = TraceColumns.load(binpath)
             for lo in range(0, len(cols), chunk_rows):
                 yield cols.take(range(lo, min(lo + chunk_rows, len(cols))))
             return
@@ -220,7 +218,7 @@ def stream_bundle(directory: str | Path, chunk_rows: int = 1 << 16,
         for rank in range(nprocs):
             yield from iter_ingest_chunks(
                 directory / f"trace.{rank}", etype_size=etypes,
-                backend=backend, chunk_rows=chunk_rows, jobs=jobs)
+                chunk_rows=chunk_rows, jobs=jobs)
 
     return nprocs, metadata, chunks()
 

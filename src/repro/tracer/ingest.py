@@ -2,7 +2,7 @@
 
 Every downstream stage (streaming characterization, the lattice, warm
 studies) is now faster than reading its input; this engine closes that
-gap with three independently-gated layers on top of the classic
+gap with three layers on top of the classic
 line-wise parser (:func:`repro.tracer.columns._read_trace_columns_lines`),
 which stays bit-for-bit the reference:
 
@@ -34,9 +34,10 @@ which stays bit-for-bit the reference:
    ``etype_size`` mapping and a schema tag).  Re-ingesting an unchanged
    file becomes a binary bundle load.  Invalidation is automatic: any
    byte change to the text, a different ``etype_size``, or a cache
-   schema bump produces a different key.  Quarantine-mode parses
-   neither read nor write the cache (their output may be a subset of
-   the file).
+   schema bump produces a different key.  An entry that fails to
+   decode is a miss (re-parsed and overwritten), never an error.
+   Quarantine-mode parses neither read nor write the cache (their
+   output may be a subset of the file).
 
 All three layers preserve exact output equality with the classic
 parser -- same columns, same op-table interning order, same
@@ -52,24 +53,19 @@ import os
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from repro import obs
 from repro import store as _store
 
-from .bulk import bulk_available, bulk_parse
+from .bulk import bulk_parse
 from .columns import (
     TraceColumns,
     _parse_chunk,
     _read_trace_columns_lines,
     check_chunk_rows,
-    default_backend,
-    iter_trace_column_chunks,
 )
 from .tracefile import HEADER
-
-try:  # numpy is optional throughout the tracer
-    import numpy as np
-except ImportError:  # pragma: no cover - no-numpy CI job
-    np = None
 
 __all__ = [
     "ENV_JOBS", "DEFAULT_JOBS_CAP", "parse_jobs", "resolve_jobs",
@@ -271,7 +267,7 @@ def _intern(local_table, op_table: list[str], op_index: dict[str, int]):
 
 
 def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
-                 etype_size, quarantine, backend: str):
+                 etype_size, quarantine):
     """Parse newline-aligned blocks; yield ``(nlines, part_or_None)``.
 
     Each yielded part's op codes are already *global* (interned against
@@ -282,9 +278,8 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
     parser byte for byte.
     """
     lineno = start_lineno
-    use_bulk = bulk_available()
     for buf in blocks:
-        out = bulk_parse(buf) if use_bulk else None
+        out = bulk_parse(buf)
         if out is not None:
             local = out.pop("op_table")
             nlines = len(out["rank"])
@@ -292,10 +287,7 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
             if nlines and remap != list(range(len(remap))):
                 out["op_code"] = np.asarray(remap,
                                             dtype=np.int64)[out["op_code"]]
-            if backend != "numpy":
-                out = {k: v.tolist() for k, v in out.items()}
-            part = TraceColumns(op_table=list(op_table), backend=backend,
-                                **out)
+            part = TraceColumns(op_table=list(op_table), **out)
             if obs.ACTIVE:
                 obs.inc("ingest_rows_total", nlines, kernel="bulk")
             lineno += nlines
@@ -310,8 +302,7 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
             obs.inc("ingest_rows_total", nrows, kernel="lines")
         part = None
         if nrows:
-            part = TraceColumns(op_table=list(op_table), backend=backend,
-                                **cols)
+            part = TraceColumns(op_table=list(op_table), **cols)
         lineno += len(lines)
         yield len(lines), part
 
@@ -333,7 +324,6 @@ def _cache_key(data: bytes, etype_size):
 
 def ingest_columns(path: str | Path, *,
                    etype_size=None,
-                   backend: str | None = None,
                    chunk_lines: int = 1 << 16,
                    quarantine=None,
                    jobs: int | None = None,
@@ -345,22 +335,16 @@ def ingest_columns(path: str | Path, *,
     here) with identical output, errors and quarantine behaviour.
     ``jobs`` > 1 shards the file across a process pool; ``cache=False``
     bypasses the parse cache (``None`` = use it when a persistent store
-    is attached; quarantine-mode parses always bypass it).  ``executor``
-    overrides the shard executor (tests inject a serial one).
+    is attached; quarantine-mode parses always bypass it).  A cache
+    entry that fails to decode counts as a miss and is overwritten.
+    ``executor`` overrides the shard executor (tests inject a serial
+    one).
     """
     path = Path(path)
-    backend = backend or default_backend()
     njobs = resolve_jobs(jobs)
     store = _store.active()
     use_cache = (cache is not False and quarantine is None
                  and store is not None and store.persistent)
-    if not use_cache and njobs <= 1 and not bulk_available():
-        # nothing this engine adds can engage: the classic parser is
-        # strictly faster (no byte-level re-read)
-        return _read_trace_columns_lines(path, etype_size=etype_size,
-                                         backend=backend,
-                                         chunk_lines=chunk_lines,
-                                         quarantine=quarantine)
     with obs.span("ingest.columns", cat="ingest", file=str(path)) as sp:
         if obs.ACTIVE:
             obs.inc("ingest_files_total")
@@ -369,34 +353,45 @@ def ingest_columns(path: str | Path, *,
             data = path.read_bytes()
             key = _cache_key(data, etype_size)
             hit, blob = store.get(CACHE_NAME, key)
-            if hit and isinstance(blob, (bytes, bytearray)):
+            cols = _decode_cached(blob) if hit else None
+            if cols is not None:
                 if obs.ACTIVE:
                     obs.inc("ingest_cache_hits_total")
                 sp.annotate(cached=True)
-                return TraceColumns.from_bytes(bytes(blob), backend=backend)
+                return cols
             if obs.ACTIVE:
                 obs.inc("ingest_cache_misses_total")
         cols = None
         if njobs > 1:
-            cols = _sharded_parse(path, etype_size, backend, quarantine,
-                                  njobs, executor, data=data)
+            cols = _sharded_parse(path, etype_size, quarantine, njobs,
+                                  executor, data=data)
         if cols is None:
             try:
-                cols = _serial_parse(path, data, etype_size, backend,
-                                     quarantine)
+                cols = _serial_parse(path, data, etype_size, quarantine)
             except UnicodeDecodeError:
                 # the classic text-mode reader owns decode errors (and
                 # their exact location); replay through it
                 return _read_trace_columns_lines(
-                    path, etype_size=etype_size, backend=backend,
-                    chunk_lines=chunk_lines, quarantine=quarantine)
+                    path, etype_size=etype_size, chunk_lines=chunk_lines,
+                    quarantine=quarantine)
         if key is not None:
             store.put(CACHE_NAME, key, cols.to_bytes())
         sp.annotate(rows=len(cols))
         return cols
 
 
-def _serial_parse(path: Path, data: bytes | None, etype_size, backend,
+def _decode_cached(blob) -> TraceColumns | None:
+    """A parse-cache payload as columns; None when it does not decode
+    (a corrupt or foreign entry is a miss, never an ingest failure)."""
+    if not isinstance(blob, (bytes, bytearray)):
+        return None
+    try:
+        return TraceColumns.from_bytes(blob)
+    except ValueError:
+        return None
+
+
+def _serial_parse(path: Path, data: bytes | None, etype_size,
                   quarantine) -> TraceColumns:
     op_table: list[str] = []
     op_index: dict[str, int] = {}
@@ -405,7 +400,7 @@ def _serial_parse(path: Path, data: bytes | None, etype_size, backend,
     def collect(blocks, start_lineno):
         for _nlines, part in _block_parts(blocks, path, start_lineno,
                                           op_table, op_index, etype_size,
-                                          quarantine, backend):
+                                          quarantine):
             if part is not None:
                 parts.append(part)
 
@@ -424,7 +419,7 @@ def _serial_parse(path: Path, data: bytes | None, etype_size, backend,
                 # line 1 is data (possibly blank): re-prefix it so the
                 # blocks preserve the exact line structure and numbering
                 collect(_stream_blocks(f, first + b"\n" + carry), 1)
-    return TraceColumns.concat(parts, backend=backend)
+    return TraceColumns.concat(parts)
 
 
 # -- sharded parallel parse ---------------------------------------------------
@@ -444,18 +439,16 @@ def _shard_worker(path_str: str, start: int, end: int, etype_size):
     report = QuarantineReport()
     op_table: list[str] = []
     op_index: dict[str, int] = {}
-    backend = default_backend()
     parts: list[TraceColumns] = []
     nlines = 0
     with path.open("rb") as f:
         f.seek(start)
         for n, part in _block_parts(_range_blocks(f, end - start), path, 1,
-                                    op_table, op_index, etype_size, report,
-                                    backend):
+                                    op_table, op_index, etype_size, report):
             nlines += n
             if part is not None:
                 parts.append(part)
-    cols = TraceColumns.concat(parts, backend=backend)
+    cols = TraceColumns.concat(parts)
     entries = [(e.lineno, e.rank, e.reason, e.line) for e in report.entries]
     return cols.to_bytes(), nlines, entries
 
@@ -478,7 +471,7 @@ def _replay_entries(path, entries, quarantine) -> None:
         quarantine.note(path, rank, lineno, reason, line)
 
 
-def _sharded_parse(path: Path, etype_size, backend, quarantine, njobs: int,
+def _sharded_parse(path: Path, etype_size, quarantine, njobs: int,
                    executor, data: bytes | None = None):
     """Fan one file out as byte-range shards; None = use the serial path."""
     try:
@@ -526,12 +519,12 @@ def _sharded_parse(path: Path, etype_size, backend, quarantine, njobs: int,
     base = lineno0
     for name in names:
         blob, nlines, shard_entries = results[name]
-        parts.append(TraceColumns.from_bytes(blob, backend=backend))
+        parts.append(TraceColumns.from_bytes(blob))
         for rel, rank, reason, line in shard_entries:
             entries.append((base + rel - 1, rank, reason, line))
         base += nlines
     _replay_entries(path, entries, quarantine)
-    return TraceColumns.concat(parts, backend=backend)
+    return TraceColumns.concat(parts)
 
 
 def _run_shards(fn, jobs_map, njobs: int, executor):
@@ -558,7 +551,6 @@ def _run_shards(fn, jobs_map, njobs: int, executor):
 
 def iter_ingest_chunks(path: str | Path, *,
                        etype_size=None,
-                       backend: str | None = None,
                        chunk_rows: int = 1 << 16,
                        quarantine=None,
                        jobs: int | None = None,
@@ -576,22 +568,15 @@ def iter_ingest_chunks(path: str | Path, *,
     """
     check_chunk_rows(chunk_rows)
     path = Path(path)
-    backend = backend or default_backend()
     njobs = resolve_jobs(jobs)
     store = _store.active()
     use_cache = (cache is not False and quarantine is None
                  and store is not None and store.persistent)
     if njobs > 1 or use_cache:
-        cols = ingest_columns(path, etype_size=etype_size, backend=backend,
+        cols = ingest_columns(path, etype_size=etype_size,
                               quarantine=quarantine, jobs=njobs, cache=cache)
         for lo in range(0, len(cols), chunk_rows):
             yield cols.take(range(lo, min(lo + chunk_rows, len(cols))))
-        return
-    if not bulk_available():
-        yield from iter_trace_column_chunks(path, etype_size=etype_size,
-                                            backend=backend,
-                                            chunk_rows=chunk_rows,
-                                            quarantine=quarantine)
         return
     op_table: list[str] = []
     op_index: dict[str, int] = {}
@@ -604,8 +589,7 @@ def iter_ingest_chunks(path: str | Path, *,
         else:
             return
         for _nlines, part in _block_parts(blocks, path, lineno, op_table,
-                                          op_index, etype_size, quarantine,
-                                          backend):
+                                          op_index, etype_size, quarantine):
             if part is None:
                 continue
             n = len(part)
@@ -648,7 +632,6 @@ def _file_worker(path_str: str, etype_size, salvage: bool):
 
 def ingest_rank_files(paths, *,
                       etype_size=None,
-                      backend: str | None = None,
                       quarantine=None,
                       jobs: int | None = None,
                       executor=None) -> list[TraceColumns]:
@@ -662,11 +645,10 @@ def ingest_rank_files(paths, *,
     raises -- are identical.
     """
     paths = [Path(p) for p in paths]
-    backend = backend or default_backend()
     njobs = resolve_jobs(jobs)
     salvaging = quarantine is not None and not quarantine.strict
     if njobs > 1 and len(paths) > 1:
-        parts = _parallel_rank_files(paths, etype_size, backend, quarantine,
+        parts = _parallel_rank_files(paths, etype_size, quarantine,
                                      salvaging, njobs, executor)
         if parts is not None:
             return parts
@@ -674,7 +656,6 @@ def ingest_rank_files(paths, *,
     for rank, p in enumerate(paths):
         try:
             parts.append(ingest_columns(p, etype_size=etype_size,
-                                        backend=backend,
                                         quarantine=quarantine, jobs=1))
         except OSError as exc:
             if not salvaging:
@@ -684,7 +665,7 @@ def ingest_rank_files(paths, *,
     return parts
 
 
-def _parallel_rank_files(paths, etype_size, backend, quarantine, salvaging,
+def _parallel_rank_files(paths, etype_size, quarantine, salvaging,
                          njobs: int, executor):
     import builtins
 
@@ -711,7 +692,7 @@ def _parallel_rank_files(paths, etype_size, backend, quarantine, salvaging,
         if tag == "valueerror":
             raise ValueError(res[1])
         _tag, blob, entries = res
-        parts.append(TraceColumns.from_bytes(blob, backend=backend))
+        parts.append(TraceColumns.from_bytes(blob))
         for lineno, rank, reason, line in entries:
             quarantine.note(p, rank, lineno, reason, line)
     return parts

@@ -6,9 +6,8 @@ each worker copies the whole trace per process; at millions of events
 that serialization dominates the sweep.  Instead, the parent publishes
 the columns once into a ``multiprocessing.shared_memory`` segment and
 ships only a tiny picklable :class:`SharedColumns` handle; workers
-attach and -- on the numpy backend -- get zero-copy ``ndarray`` views
-straight over the shared buffer (the python backend copies out of the
-segment, still skipping pickle entirely).
+attach and get zero-copy ``ndarray`` views straight over the shared
+buffer.
 
 Segment layout (version 1): the packed ``.trc`` column encoding without
 the file framing -- every ``INT_COLUMNS`` blob (``<i8``), then every
@@ -24,29 +23,15 @@ arrays stay valid for the worker's lifetime.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
+from multiprocessing import shared_memory as _shm_mod
+
+import numpy as np
 
 from .columns import FLOAT_COLUMNS, INT_COLUMNS, TraceColumns, _float_blob, \
-    _int_blob, numpy_enabled
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
-
-try:
-    from multiprocessing import shared_memory as _shm_mod
-except ImportError:  # pragma: no cover - minimal platforms
-    _shm_mod = None
+    _int_blob
 
 _NCOLS = len(INT_COLUMNS) + len(FLOAT_COLUMNS)
-
-
-def shm_available() -> bool:
-    """Shared-memory trace publishing usable on this platform."""
-    return _shm_mod is not None
 
 
 @dataclass(frozen=True)
@@ -73,20 +58,17 @@ def share_columns(cols: TraceColumns) -> SharedColumns:
     """Publish a trace into a fresh shared-memory segment; returns the handle.
 
     The segment stays alive until :func:`release`/:func:`release_all`
-    (or process exit).  Raises ``RuntimeError`` when the platform has no
-    shared memory support -- guard with :func:`shm_available`.
+    (or process exit).
     """
-    if _shm_mod is None:
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
     n = len(cols)
     seg = _shm_mod.SharedMemory(create=True, size=max(1, 8 * n * _NCOLS))
     pos = 0
     for name in INT_COLUMNS:
-        blob = _int_blob(getattr(cols, name), cols.backend)
+        blob = _int_blob(getattr(cols, name))
         seg.buf[pos:pos + len(blob)] = blob
         pos += len(blob)
     for name in FLOAT_COLUMNS:
-        blob = _float_blob(getattr(cols, name), cols.backend)
+        blob = _float_blob(getattr(cols, name))
         seg.buf[pos:pos + len(blob)] = blob
         pos += len(blob)
     _owned[seg.name] = seg
@@ -94,53 +76,26 @@ def share_columns(cols: TraceColumns) -> SharedColumns:
                          op_table=tuple(cols.op_table))
 
 
-def attach_columns(handle: SharedColumns,
-                   backend: str | None = None) -> TraceColumns:
+def attach_columns(handle: SharedColumns) -> TraceColumns:
     """Materialize a TraceColumns from a published handle.
 
-    numpy backend: zero-copy -- the columns are ``ndarray`` views over
-    the shared buffer (read them, don't write them).  python backend:
-    one bulk ``array`` copy per column, after which the segment is
-    closed again.
+    Zero-copy: the columns are ``ndarray`` views over the shared buffer
+    (read them, don't write them).
     """
-    if _shm_mod is None:
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    backend = backend or ("numpy" if numpy_enabled() else "python")
     seg = _attached.get(handle.shm_name) or _owned.get(handle.shm_name)
-    borrowed = seg is None
-    if borrowed:
+    if seg is None:
         seg = _shm_mod.SharedMemory(name=handle.shm_name)
         _unregister_attachment(seg)
+        _attached[handle.shm_name] = seg  # views need the mapping alive
     n = handle.n
     kwargs = {}
-    if backend == "numpy":
-        if borrowed:
-            _attached[handle.shm_name] = seg  # views need the mapping alive
-        for i, name in enumerate(INT_COLUMNS):
-            kwargs[name] = np.frombuffer(seg.buf, dtype="<i8", count=n,
-                                         offset=8 * n * i)
-        for j, name in enumerate(FLOAT_COLUMNS):
-            kwargs[name] = np.frombuffer(
-                seg.buf, dtype="<f8", count=n,
-                offset=8 * n * (len(INT_COLUMNS) + j))
-    else:
-        for i, name in enumerate(INT_COLUMNS):
-            a = array("q")
-            a.frombytes(seg.buf[8 * n * i:8 * n * (i + 1)])
-            if sys.byteorder == "big":  # pragma: no cover
-                a.byteswap()
-            kwargs[name] = list(a)
-        for j, name in enumerate(FLOAT_COLUMNS):
-            i = len(INT_COLUMNS) + j
-            a = array("d")
-            a.frombytes(seg.buf[8 * n * i:8 * n * (i + 1)])
-            if sys.byteorder == "big":  # pragma: no cover
-                a.byteswap()
-            kwargs[name] = list(a)
-        if borrowed:
-            seg.close()  # fully copied out; no need to stay mapped
-    return TraceColumns(op_table=list(handle.op_table), backend=backend,
-                        **kwargs)
+    for i, name in enumerate(INT_COLUMNS):
+        kwargs[name] = np.frombuffer(seg.buf, dtype="<i8", count=n,
+                                     offset=8 * n * i)
+    for j, name in enumerate(FLOAT_COLUMNS):
+        kwargs[name] = np.frombuffer(seg.buf, dtype="<f8", count=n,
+                                     offset=8 * n * (len(INT_COLUMNS) + j))
+    return TraceColumns(op_table=list(handle.op_table), **kwargs)
 
 
 def _unregister_attachment(seg) -> None:

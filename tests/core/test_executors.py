@@ -89,8 +89,13 @@ def test_checkpoint_resume_across_backends(tmp_path, launch_workers):
 
 
 def test_cluster_requeues_after_worker_kill(launch_workers):
-    """Conformance under fire: one worker dies mid-sweep, results match."""
-    doomed = launch_workers(1, REPRO_CLUSTER_KILL_AFTER="2")
+    """Conformance under fire: one worker dies mid-sweep, results match.
+
+    The doomed worker dies instead of sending its *first* result: both
+    workers are handshaken and handed a job before any result comes
+    back, so it always dies holding one, and the requeue is certain
+    however fast the healthy worker drains the rest."""
+    doomed = launch_workers(1, REPRO_CLUSTER_KILL_AFTER="1")
     healthy = launch_workers(1)
     ex = ClusterExecutor(workers=doomed + healthy)
     _, reg = obs.enable()

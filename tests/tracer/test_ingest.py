@@ -25,7 +25,9 @@ from repro import store
 from repro.core.executors.base import SerialExecutor
 from repro.tracer.columns import TraceColumns, _read_trace_columns_lines
 from repro.tracer.ingest import (
+    CACHE_NAME,
     ENV_JOBS,
+    _cache_key,
     default_jobs,
     ingest_columns,
     ingest_jobs,
@@ -117,6 +119,49 @@ class TestSerialParity:
         assert_same(ingest_columns(p, quarantine=q_eng),
                     _read_trace_columns_lines(p, quarantine=q_ref))
         assert q_eng.entries == q_ref.entries
+
+
+class TestInt64Range:
+    """Integer fields outside int64 are trace errors, not crashes."""
+
+    BIG = "99999999999999999999"
+
+    def _trace(self, tmp_path, lineno: int, row: str):
+        lines = trace_text(30).splitlines()
+        lines[lineno - 1] = row
+        return write_trace(tmp_path, "\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row", [
+        f"0 1 MPI_File_write_at {BIG} 5 4096 0.100000 0.001000 0",
+        f"0 1 MPI_File_write_at 0 5 4096 0.100000 0.001000 -{BIG}",
+        f"{BIG} 1 MPI_File_write_at 0 5 4096 0.100000 0.001000 0",
+    ], ids=["offset", "negative-abs-offset", "rank"])
+    def test_strict_error_names_line(self, tmp_path, row):
+        p = self._trace(tmp_path, 9, row)
+        for parse in (ingest_columns, _read_trace_columns_lines):
+            with pytest.raises(ValueError, match=rf"{p}:9: .*int64"):
+                parse(p)
+
+    def test_quarantine_salvages_the_rest(self, tmp_path):
+        p = self._trace(
+            tmp_path, 9,
+            f"2 1 MPI_File_write_at {self.BIG} 5 4096 0.100000 0.001000 0")
+        q_eng, q_ref = QuarantineReport(), QuarantineReport()
+        got = ingest_columns(p, quarantine=q_eng)
+        assert_same(got, _read_trace_columns_lines(p, quarantine=q_ref))
+        assert len(got) == 29  # 30 rows, one of them out of range
+        assert [(e.lineno, e.rank) for e in q_eng.entries] == [(9, 2)]
+        assert "int64" in q_eng.entries[0].reason
+        assert q_eng.entries == q_ref.entries
+
+    def test_legacy_row_abs_offset_overflow(self, tmp_path):
+        row = f"0 1 MPI_File_write_at {1 << 62} 5 4096 0.100000 0.001000"
+        p = self._trace(tmp_path, 4, row)
+        with pytest.raises(ValueError, match=rf"{p}:4: .*int64"):
+            ingest_columns(p, etype_size=8)
+        q = QuarantineReport()
+        ingest_columns(p, etype_size=8, quarantine=q)
+        assert [e.lineno for e in q.entries] == [4]
 
 
 class TestShardedParity:
@@ -273,6 +318,21 @@ class TestParseCache:
         q = QuarantineReport()
         ingest_columns(p, quarantine=q)
         assert store.active().stats().get("ingest", {}).get("entries", 0) == 0
+
+    @pytest.mark.parametrize("corrupt", [lambda b: b[:-5],
+                                         lambda b: b"REPROTRC1\n[]\n",
+                                         lambda b: {"not": "bytes"}],
+                             ids=["truncated", "bad-header", "not-bytes"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, corrupt):
+        p = write_trace(tmp_path, trace_text(2_000))
+        cold = ingest_columns(p)
+        key = _cache_key(p.read_bytes(), None)
+        _hit, blob = store.active().get(CACHE_NAME, key)
+        store.active().put(CACHE_NAME, key, corrupt(blob))
+        again = ingest_columns(p)
+        assert again.content_digest() == cold.content_digest()
+        hit, healed = store.active().get(CACHE_NAME, key)
+        assert hit and healed == blob  # re-parsed and overwritten
 
     def test_cache_false_bypasses(self, tmp_path):
         p = write_trace(tmp_path, trace_text(100))

@@ -161,10 +161,6 @@ def test_bundle_load_strictly_raises_without_quarantine(tmp_path):
 
 
 def test_garbage_npz_quarantined(tmp_path):
-    pytest.importorskip("numpy")
-    from repro.tracer.columns import numpy_enabled
-    if not numpy_enabled():
-        pytest.skip("numpy backend disabled")
     d = _bundle_dir(tmp_path)
     (d / "columns.npz").write_bytes(b"PK\x03\x04 not actually an npz")
     q = QuarantineReport()

@@ -8,11 +8,8 @@ from repro.apps.synthetic import SyntheticParams, synthetic_program
 from repro.core.pipeline import characterize_bundles
 from repro.core.model import models_equivalent
 from repro.tracer import shm
-from repro.tracer.columns import FLOAT_COLUMNS, INT_COLUMNS, numpy_enabled
+from repro.tracer.columns import FLOAT_COLUMNS, INT_COLUMNS
 from repro.tracer.hooks import trace_run
-
-pytestmark = pytest.mark.skipif(not shm.shm_available(),
-                                reason="no multiprocessing.shared_memory")
 
 NP = 4
 
@@ -42,26 +39,12 @@ class TestRoundTrip:
         finally:
             shm.release(handle)
 
-    def test_python_backend_attach_copies(self, bundle):
-        cols = bundle.columns
-        handle = shm.share_columns(cols)
-        try:
-            back = shm.attach_columns(handle, backend="python")
-            assert back.backend == "python"
-            assert _columns_equal(cols, back)
-        finally:
-            shm.release(handle)
-        # a copy survives release of the segment
-        assert len(back) == len(cols)
-        assert list(back.tick) == list(cols.tick)
-
-    @pytest.mark.skipif(not numpy_enabled(), reason="needs numpy")
     def test_numpy_attach_is_zero_copy(self, bundle):
         import numpy as np
 
         handle = shm.share_columns(bundle.columns)
         try:
-            back = shm.attach_columns(handle, backend="numpy")
+            back = shm.attach_columns(handle)
             assert isinstance(back.tick, np.ndarray)
             # a view over the shared buffer, not an owning copy
             assert not back.tick.flags.owndata

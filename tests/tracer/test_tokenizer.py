@@ -196,7 +196,7 @@ class TestEndToEndParity:
                  + [DISQUALIFIERS["trailing-space"]] + CLEAN)
         path = tmp_path / "t"
         path.write_text(HEADER + "\n" + "".join(lines))
-        got = read_trace_columns(path, etype_size=512, backend="python")
+        got = read_trace_columns(path, etype_size=512)
         ref_cols, ref_ops = parse_rowwise(lines, etype_size=512)
         assert got.column_lists() == ref_cols
         assert list(got.op_table) == ref_ops
@@ -204,7 +204,7 @@ class TestEndToEndParity:
     def test_tiny_chunks_match_one_big_chunk(self, tmp_path):
         path = tmp_path / "t"
         path.write_text(HEADER + "\n" + "".join(CLEAN * 7))
-        small = read_trace_columns(path, chunk_lines=2, backend="python")
-        big = read_trace_columns(path, backend="python")
+        small = read_trace_columns(path, chunk_lines=2)
+        big = read_trace_columns(path)
         assert small.column_lists() == big.column_lists()
         assert list(small.op_table) == list(big.op_table)
