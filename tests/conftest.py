@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import cache as simcache
@@ -19,6 +20,7 @@ from repro.iosim import (
     IONode,
     LocalFS,
 )
+from repro.tracer.columns import ALL_COLUMNS, FLOAT_COLUMNS, TraceColumns
 
 
 def make_nfs_cluster(n_compute: int = 4, n_disks: int = 5,
@@ -42,6 +44,34 @@ def make_pvfs_cluster(n_compute: int = 4, n_ions: int = 3,
         ions.append(IONode.make(f"ion{i}", fs))
     nodes = [ComputeNode.make(f"cn{i}") for i in range(n_compute)]
     return Cluster("test-pvfs", nodes, PVFS2(ions), GIGABIT_ETHERNET)
+
+
+#: The two shapes of column input the columnar kernels are fed, as test
+#: ids: ``numpy`` -- read-only ``ndarray`` views into one shared buffer,
+#: like the zero-copy columns :func:`repro.tracer.shm.attach_columns`
+#: hands out (a kernel that wrote to its input would fail here); and
+#: ``python`` -- columns converted from plain Python lists, as
+#: ``TraceColumns.from_records`` and the exact line parser build them.
+COLUMN_SOURCES = pytest.mark.parametrize("source", ["numpy", "python"])
+
+
+def as_source(cols, source: str):
+    """``cols`` rebuilt in the *source* input shape (same content)."""
+    if source == "python":
+        return TraceColumns(op_table=cols.op_table, **cols.column_lists())
+    n = len(cols)
+    dtypes = ["<f8" if name in FLOAT_COLUMNS else "<i8"
+              for name in ALL_COLUMNS]
+    buf = b"".join(getattr(cols, name).astype(dt).tobytes()
+                   for name, dt in zip(ALL_COLUMNS, dtypes))
+    return TraceColumns(op_table=cols.op_table, **{
+        name: np.frombuffer(buf, dtype=dt, count=n, offset=8 * n * i)
+        for i, (name, dt) in enumerate(zip(ALL_COLUMNS, dtypes))})
+
+
+def columns_from(records, source: str):
+    """Columns of ``records`` (order preserved) in the *source* shape."""
+    return as_source(TraceColumns.from_records(records), source)
 
 
 @pytest.fixture(autouse=True)
