@@ -131,9 +131,6 @@ def cmd_model(args: argparse.Namespace) -> int:
         if args.quarantine:
             raise SystemExit("--stream cannot salvage corrupt traces; "
                              "drop --quarantine or use the batch loader")
-        if args.method != "columnar":
-            raise SystemExit("--stream has a single (incremental) "
-                             "extraction path; drop --method")
         from repro.core.pipeline import characterize_stream
         model = characterize_stream(args.traces, app_name=args.name,
                                     jobs=jobs)
@@ -153,7 +150,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         print()
     if bundle.nevents == 0:
         raise SystemExit(f"no salvageable I/O events in {args.traces}")
-    model = IOModel.from_trace(bundle, app_name=args.name, method=args.method)
+    model = IOModel.from_trace(bundle, app_name=args.name)
     if args.out:
         model.save(args.out)
     print(model.describe())
@@ -590,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--name", default="app")
     p.add_argument("--out")
-    p.add_argument("--method", choices=("columnar", "records"),
-                   default="columnar",
-                   help="model-extraction path: vectorized columnar "
-                        "(default) or the per-record reference")
     p.add_argument("--quarantine", action="store_true",
                    help="salvage a partial model from corrupt/truncated "
                         "traces and print a per-rank report of what was "

@@ -24,7 +24,7 @@ from .estimate import (
     select_configuration,
     system_usage,
 )
-from .lap import LAPEntry, LAPOp, compress_burst, expand_entry, extract_laps, split_bursts
+from .lap import LAPEntry, LAPOp, expand_entry, extract_laps
 from .model import IOModel, models_equivalent
 from .offsetfn import OffsetFunction, fit_offsets
 from .patterns import (
@@ -107,7 +107,6 @@ __all__ = [
     "ascii_plot",
     "characterize_app",
     "characterize_peaks_for",
-    "compress_burst",
     "estimate_model",
     "estimate_on",
     "estimate_phase",
@@ -142,7 +141,6 @@ __all__ = [
     "validate_model",
     "select_configuration",
     "spatial_pattern",
-    "split_bursts",
     "system_usage",
     "temporal_pattern",
     "to_csv",

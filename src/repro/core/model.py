@@ -22,13 +22,12 @@ import time as _time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 from repro import obs
 from repro.tracer.hooks import TraceBundle
 from repro.tracer.metadata import AppMetadata
 
-from .lap import LAPEntry, extract_laps, extract_laps_columns
+from .lap import LAPEntry, extract_laps_columns
 from .offsetfn import OffsetFunction
 from .phases import (
     DEFAULT_TICK_TOL,
@@ -52,33 +51,10 @@ class IOModel:
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_trace(cls, bundle: TraceBundle, app_name: str = "app",
-                   tick_tol: int = DEFAULT_TICK_TOL, gap: int = 1,
-                   method: str = "columnar") -> "IOModel":
-        """Characterization: trace -> LAPs -> phases -> model.
-
-        ``method`` picks the LAP extraction path: ``"columnar"`` (the
-        vectorized default over ``bundle.columns``) or ``"records"``
-        (the per-record reference implementation).  Both produce
-        identical models -- asserted per seed app by
-        ``tests/core/test_columnar_equivalence.py``.
-        """
-        if method == "columnar":
-            return cls.from_columns(
-                bundle.columns, bundle.metadata, bundle.nprocs,
-                app_name=app_name, tick_tol=tick_tol, gap=gap)
-        if method != "records":
-            raise ValueError(f"unknown characterization method {method!r}")
-        with obs.span("characterize.model", cat="pipeline", method=method):
-            t0 = _time.perf_counter()
-            with obs.span("characterize.laps", cat="pipeline"):
-                entries = extract_laps(bundle.records, gap=gap)
-            model = cls._from_entries(entries, bundle.metadata, bundle.nprocs,
-                                      app_name, tick_tol)
-        if obs.ACTIVE:
-            _observe_characterization(method, len(bundle.records),
-                                      len(entries),
-                                      _time.perf_counter() - t0)
-        return model
+                   tick_tol: int = DEFAULT_TICK_TOL, gap: int = 1) -> "IOModel":
+        """Characterization: trace -> LAPs -> phases -> model."""
+        return cls.from_columns(bundle.columns, bundle.metadata, bundle.nprocs,
+                                app_name=app_name, tick_tol=tick_tol, gap=gap)
 
     @classmethod
     def from_columns(cls, columns, metadata: AppMetadata, nprocs: int,
@@ -89,9 +65,7 @@ class IOModel:
         When a persistent store is attached (:mod:`repro.store`) the
         extracted model is memoized in the ``"characterize"`` cache
         under the trace's content digest, so re-characterizing the same
-        trace -- across processes -- warm-starts from disk.  The
-        ``"records"`` path never consults the cache: it stays the cold
-        reference implementation.
+        trace -- across processes -- warm-starts from disk.
         """
         from repro import store as _store
 
@@ -99,11 +73,8 @@ class IOModel:
 
         key = None
         if _store.active() is not None:
-            # metadata enters as canonical JSON (dicts are unhashable)
-            meta = json.dumps(metadata.to_dict(), sort_keys=True) \
-                if metadata is not None else None
-            key = ("from_columns", columns.content_digest(), meta,
-                   nprocs, app_name, tick_tol, gap)
+            key = _characterize_key(columns.content_digest(), metadata,
+                                    nprocs, app_name, tick_tol, gap)
             hit = simcache.cache("characterize").lookup(key)
             if hit is not simcache._MISS:
                 return hit
@@ -161,10 +132,8 @@ class IOModel:
                 entries = folder.finish()
             key = None
             if want_key and _store.active() is not None:
-                meta = json.dumps(metadata.to_dict(), sort_keys=True) \
-                    if metadata is not None else None
-                key = ("from_columns", folder.content_digest(), meta,
-                       nprocs, app_name, tick_tol, gap)
+                key = _characterize_key(folder.content_digest(), metadata,
+                                        nprocs, app_name, tick_tol, gap)
                 hit = simcache.cache("characterize").lookup(key)
                 if hit is not simcache._MISS:
                     return hit
@@ -273,6 +242,16 @@ class IOModel:
                 f"rs={rs} weight={ph.weight / 2**20:.0f}MB initOffset={fn}"
             )
         return "\n".join(lines)
+
+
+def _characterize_key(digest: str, metadata: AppMetadata | None,
+                      nprocs: int, app_name: str, tick_tol: int,
+                      gap: int) -> tuple:
+    """The ``"characterize"`` cache key of a trace's content digest."""
+    # metadata enters as canonical JSON (dicts are unhashable)
+    meta = json.dumps(metadata.to_dict(), sort_keys=True) \
+        if metadata is not None else None
+    return ("from_columns", digest, meta, nprocs, app_name, tick_tol, gap)
 
 
 def _observe_characterization(method: str, nrows: int, nentries: int,

@@ -15,13 +15,8 @@ averaged bandwidths.  For single-operation phases it degenerates to the
 IOR behaviour (same layout, same sizes), so it can replace IOR wholesale
 in the estimation step.
 
-Two fast paths keep sweeps cheap:
-
-* results are memoized by (access-pattern signature, platform
-  fingerprint) -- see :mod:`repro.core.cache`;
-* ``extrapolate_reps=K`` (opt-in) simulates only the first K
-  repetitions of a high-``rep`` phase and closes the rest analytically
-  once the per-repetition cost is stationary.
+Results are memoized by (access-pattern signature, platform
+fingerprint) -- see :mod:`repro.core.cache` -- which keeps sweeps cheap.
 """
 
 from __future__ import annotations
@@ -87,56 +82,14 @@ def _replay_program(ctx: RankContext, spec: _ReplaySpec):
     yield from ctx.barrier()
 
 
-def _rep_ends(events: list[IOEvent], spec: _ReplaySpec,
-              kind: str | None = None) -> list[float]:
-    """Per-repetition completion time: T_j = max end over ranks of rep j.
-
-    Each rank executes its operations strictly in order, so a rank's
-    j-th repetition is events ``[j*len(ops), (j+1)*len(ops))`` of its
-    own (append-ordered) event list.
-    """
-    nops = len(spec.ops)
-    by_rank: dict[int, list[IOEvent]] = {}
-    for e in events:
-        by_rank.setdefault(e.rank, []).append(e)
-    nreps = min(len(evs) // nops for evs in by_rank.values())
-    ends = [0.0] * nreps
-    for evs in by_rank.values():
-        for j in range(nreps):
-            unit = evs[j * nops:(j + 1) * nops]
-            if kind is not None:
-                unit = [e for e in unit if e.kind == kind]
-            if unit:
-                ends[j] = max(ends[j], max(e.time + e.duration for e in unit))
-    return ends
-
-
-def _stationary_delta(ends: list[float]) -> float | None:
-    """Marginal per-repetition cost, or None if it has not settled."""
-    if len(ends) < 3:
-        return None
-    d_last = ends[-1] - ends[-2]
-    d_prev = ends[-2] - ends[-3]
-    if abs(d_last - d_prev) <= 1e-9 * max(abs(d_last), 1e-30):
-        return d_last
-    return None
-
-
 def replay_phase(phase: Phase, platform: Platform,
                  min_repetitions: int = 1,
-                 extrapolate_reps: int | None = None,
                  retry: "RetryPolicy | None" = None) -> ReplayResult:
     """Re-enact ``phase`` on a (fresh) platform; returns its bandwidths.
 
     ``min_repetitions`` inflates short phases so the measurement reaches
     the target's steady state (same rationale as the IOR replication's
     STEADY_STATE_MIN_BLOCK).
-
-    ``extrapolate_reps=K`` (opt-in) simulates only the first K
-    repetitions and, if the marginal per-repetition cost is stationary,
-    extends the phase span analytically to the full repetition count.
-    Phases whose cost has not settled after K repetitions fall back to
-    the full simulation.
 
     ``retry`` (a :class:`~repro.faults.resilience.RetryPolicy`) absorbs
     transient faults injected by an installed
@@ -157,13 +110,11 @@ def replay_phase(phase: Phase, platform: Platform,
 
         return retry_call(replay_phase, phase, platform,
                           policy=retry, on_retry=_clean_platform,
-                          min_repetitions=min_repetitions,
-                          extrapolate_reps=extrapolate_reps)
+                          min_repetitions=min_repetitions)
 
-    full_rep = max(phase.rep, min_repetitions)
     spec = _ReplaySpec(
         ops=phase.ops,
-        rep=full_rep,
+        rep=max(phase.rep, min_repetitions),
         collective=phase.collective,
         unique_file=phase.unique_file,
         np=phase.np,
@@ -177,23 +128,12 @@ def replay_phase(phase: Phase, platform: Platform,
     key = None
     if fp is not None:
         key = (spec.ops, spec.rep, spec.collective, spec.unique_file,
-               spec.np, extrapolate_reps, fp)
+               spec.np, fp)
         hit = memo.lookup(key)
         if hit is not simcache._MISS:
             return ReplayResult(phase_id=phase.phase_id, bw_mb_s=hit.bw_mb_s,
                                 bw_by_kind=dict(hit.bw_by_kind),
                                 elapsed=hit.elapsed)
-
-    sim_rep = full_rep
-    extrapolating = (extrapolate_reps is not None
-                     and 3 <= extrapolate_reps < full_rep
-                     and len(phase.ops) > 0)
-    if extrapolating:
-        sim_rep = extrapolate_reps
-        spec = _ReplaySpec(ops=spec.ops, rep=sim_rep,
-                           collective=spec.collective,
-                           unique_file=spec.unique_file, np=spec.np,
-                           filename=spec.filename)
 
     events: list[IOEvent] = []
     with obs.span("replay.phase", cat="replay", phase=phase.phase_id,
@@ -213,52 +153,20 @@ def replay_phase(phase: Phase, platform: Platform,
                                          elapsed=run.elapsed))
         return result
 
-    if extrapolating:
-        ends = _rep_ends(events, spec)
-        delta = _stationary_delta(ends)
-        if delta is None:
-            # Not stationary after K reps: run the whole phase on a
-            # clean platform (the probe run left queue state behind).
-            reset = getattr(platform, "reset", None)
-            if reset is not None:
-                reset()
-            return replay_phase(phase, platform,
-                                min_repetitions=min_repetitions,
-                                extrapolate_reps=None)
-        extra = full_rep - sim_rep
-        begin = min(e.time for e in events)
-        end = ends[-1] + extra * delta
-        total = sum(e.request_size for e in events) * full_rep // sim_rep
-        span = max(end - begin, 1e-12)
-        result = ReplayResult(phase_id=phase.phase_id,
-                              bw_mb_s=total / MB / span, elapsed=run.elapsed)
-        for kind in ("write", "read"):
-            evs = [e for e in events if e.kind == kind]
-            if not evs:
-                continue
-            kends = _rep_ends(events, spec, kind=kind)
-            kdelta = _stationary_delta(kends)
-            if kdelta is None:
-                kdelta = delta
-            kbegin = min(e.time for e in evs)
-            kend = kends[-1] + extra * kdelta
-            kbytes = sum(e.request_size for e in evs) * full_rep // sim_rep
-            result.bw_by_kind[kind] = kbytes / MB / max(kend - kbegin, 1e-12)
-    else:
-        begin = min(e.time for e in events)
-        end = max(e.time + e.duration for e in events)
-        total = sum(e.request_size for e in events)
-        span = max(end - begin, 1e-12)
-        result = ReplayResult(phase_id=phase.phase_id,
-                              bw_mb_s=total / MB / span, elapsed=run.elapsed)
-        for kind in ("write", "read"):
-            evs = [e for e in events if e.kind == kind]
-            if not evs:
-                continue
-            kbegin = min(e.time for e in evs)
-            kend = max(e.time + e.duration for e in evs)
-            kbytes = sum(e.request_size for e in evs)
-            result.bw_by_kind[kind] = kbytes / MB / max(kend - kbegin, 1e-12)
+    begin = min(e.time for e in events)
+    end = max(e.time + e.duration for e in events)
+    total = sum(e.request_size for e in events)
+    span = max(end - begin, 1e-12)
+    result = ReplayResult(phase_id=phase.phase_id,
+                          bw_mb_s=total / MB / span, elapsed=run.elapsed)
+    for kind in ("write", "read"):
+        evs = [e for e in events if e.kind == kind]
+        if not evs:
+            continue
+        kbegin = min(e.time for e in evs)
+        kend = max(e.time + e.duration for e in evs)
+        kbytes = sum(e.request_size for e in evs)
+        result.bw_by_kind[kind] = kbytes / MB / max(kend - kbegin, 1e-12)
 
     if key is not None:
         memo.store(key, ReplayResult(phase_id=0, bw_mb_s=result.bw_mb_s,
@@ -268,12 +176,10 @@ def replay_phase(phase: Phase, platform: Platform,
 
 
 def estimate_phase_replayed(phase: Phase, cluster_factory,
-                            min_repetitions: int = 6,
-                            extrapolate_reps: int | None = None) -> float:
+                            min_repetitions: int = 6) -> float:
     """Time_io(CH) for a phase via the faithful replayer (eq. 2 analogue)."""
     result = replay_phase(phase, cluster_factory(),
-                          min_repetitions=min_repetitions,
-                          extrapolate_reps=extrapolate_reps)
+                          min_repetitions=min_repetitions)
     if result.bw_mb_s <= 0.0:
         return 0.0
     return phase.weight / MB / result.bw_mb_s

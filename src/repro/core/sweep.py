@@ -109,8 +109,13 @@ def _load_checkpoints(directory: Path, jobs: Mapping[str, tuple]) -> dict:
     for name in jobs:
         path = checkpoint_path(directory, name)
         if path.exists():
-            with path.open("rb") as f:
-                done[name] = pickle.load(f)
+            try:
+                done[name] = pickle.loads(path.read_bytes())
+            except Exception:
+                # A torn or garbage file: unpickling damaged bytes can
+                # raise nearly any exception type.  The job re-runs and
+                # its checkpoint is overwritten.
+                continue
     return done
 
 

@@ -406,7 +406,6 @@ def _check_header(header, what: str) -> tuple[int, list[str]]:
 
 def read_trace_columns(path: str | Path, *,
                        etype_size: int | Mapping[int, int] | None = None,
-                       chunk_lines: int = 1 << 16,
                        quarantine=None,
                        jobs: int | None = None,
                        cache: bool | None = None) -> TraceColumns:
@@ -436,8 +435,7 @@ def read_trace_columns(path: str | Path, *,
     """
     from .ingest import ingest_columns
 
-    return ingest_columns(path, etype_size=etype_size,
-                          chunk_lines=chunk_lines, quarantine=quarantine,
+    return ingest_columns(path, etype_size=etype_size, quarantine=quarantine,
                           jobs=jobs, cache=cache)
 
 
@@ -449,8 +447,7 @@ def _read_trace_columns_lines(path: str | Path, *,
 
     Memory is O(chunk) beyond the output columns themselves: no
     per-row dataclass is ever built.  Kept as a standalone entry point
-    so the ingest engine, the parity tests and the benchmark's
-    before-leg can run it directly.
+    so the ingest engine and the parity tests can run it directly.
     """
     path = Path(path)
     cols = TraceColumns._empty_lists()

@@ -324,7 +324,6 @@ def _cache_key(data: bytes, etype_size):
 
 def ingest_columns(path: str | Path, *,
                    etype_size=None,
-                   chunk_lines: int = 1 << 16,
                    quarantine=None,
                    jobs: int | None = None,
                    cache: bool | None = None,
@@ -372,8 +371,7 @@ def ingest_columns(path: str | Path, *,
                 # the classic text-mode reader owns decode errors (and
                 # their exact location); replay through it
                 return _read_trace_columns_lines(
-                    path, etype_size=etype_size, chunk_lines=chunk_lines,
-                    quarantine=quarantine)
+                    path, etype_size=etype_size, quarantine=quarantine)
         if key is not None:
             store.put(CACHE_NAME, key, cols.to_bytes())
         sp.annotate(rows=len(cols))

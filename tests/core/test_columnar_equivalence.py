@@ -18,12 +18,14 @@ from repro.apps.btio import BTIOParams, btio_program
 from repro.apps.madbench2 import MADbench2Params, madbench2_program
 from repro.apps.roms import ROMSParams, roms_program
 from repro.apps.synthetic import SyntheticParams, synthetic_program
-from repro.core.lap import extract_laps, extract_laps_columns
+from repro.core.lap import extract_laps_columns
 from repro.core.model import IOModel, models_equivalent
 from repro.core.offsetfn import fit_offsets, fit_offsets_arrays
+from repro.core.phases import DEFAULT_TICK_TOL
 from repro.tracer.hooks import trace_run
 from repro.tracer.tracefile import TraceRecord
 from tests.conftest import COLUMN_SOURCES, columns_from
+from tests.core.lap_reference import extract_laps
 
 OPS = ["MPI_File_write_at_all", "MPI_File_read_at_all", "MPI_File_write_at"]
 
@@ -156,7 +158,9 @@ SEED_APPS = [
 @COLUMN_SOURCES
 def test_seed_app_models_identical(name, program, np_, args, source):
     bundle = trace_run(program, np_, None, *args)
-    ref = IOModel.from_trace(bundle, app_name=name, method="records")
+    ref = IOModel._from_entries(extract_laps(bundle.records),
+                                bundle.metadata, bundle.nprocs, name,
+                                DEFAULT_TICK_TOL)
     cols = columns_from(bundle.records, source)
     got = IOModel.from_columns(cols, bundle.metadata, bundle.nprocs,
                                app_name=name)

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lap import (
-    compress_burst,
-    expand_entry,
-    extract_laps,
-    split_bursts,
-)
+from repro.core.lap import expand_entry, extract_laps
 from repro.tracer.tracefile import TraceRecord
+from tests.core.lap_reference import compress_burst, split_bursts
 
 
 def rec(rank=0, op="MPI_File_write", offset=0, tick=1, rs=100, fid=0):
@@ -35,25 +31,36 @@ class TestSplitBursts:
     def test_adjacent_records_one_burst(self):
         records = seq([("MPI_File_write", i * 10, 10) for i in range(5)])
         assert len(split_bursts(records)) == 1
+        assert len(extract_laps(records)) == 1
 
     def test_tick_gaps_split(self):
         records = seq([("MPI_File_write", i * 10, 10) for i in range(5)],
                       adjacent=False)
         assert len(split_bursts(records)) == 5
+        assert len(extract_laps(records)) == 5
 
     def test_gap_tolerance(self):
         records = [rec(tick=1), rec(tick=3, offset=10)]
         assert len(split_bursts(records, gap=1)) == 2
         assert len(split_bursts(records, gap=2)) == 1
+        assert len(extract_laps(records, gap=1)) == 2
+        assert len(extract_laps(records, gap=2)) == 1
 
     def test_empty(self):
         assert split_bursts([]) == []
 
 
+def compress(records):
+    """The reference compression of one burst, checked against the kernel."""
+    entries = compress_burst(records)
+    assert extract_laps(records) == entries
+    return entries
+
+
 class TestCompressBurst:
     def test_uniform_run_compresses_to_one_entry(self):
         records = seq([("MPI_File_write", i * 100, 100) for i in range(40)])
-        (entry,) = compress_burst(records)
+        (entry,) = compress(records)
         assert entry.rep == 40
         assert len(entry.ops) == 1
         assert entry.ops[0].disp == 100
@@ -63,7 +70,7 @@ class TestCompressBurst:
     def test_irregular_offsets_not_merged(self):
         records = seq([("MPI_File_write", off, 10)
                        for off in (0, 10, 25, 31)])
-        entries = compress_burst(records)
+        entries = compress(records)
         assert sum(e.rep * len(e.ops) for e in entries) == 4
         assert len(entries) > 1
 
@@ -77,7 +84,7 @@ class TestCompressBurst:
             ops.append(("MPI_File_write", base + (j - 2) * rs, rs))
             ops.append(("MPI_File_read", base + j * rs, rs))
         ops += [("MPI_File_write", base + j * rs, rs) for j in (6, 7)]
-        entries = compress_burst(seq(ops))
+        entries = compress(seq(ops))
         assert [ (e.rep, tuple(o.kind for o in e.ops)) for e in entries] == [
             (2, ("read",)),
             (6, ("write", "read")),
@@ -89,12 +96,12 @@ class TestCompressBurst:
         assert wr.ops[0].disp == rs and wr.ops[1].disp == rs
 
     def test_single_record(self):
-        (entry,) = compress_burst([rec()])
+        (entry,) = compress([rec()])
         assert entry.rep == 1 and entry.ops[0].disp == 0
 
     def test_alternating_without_repetition_kept_as_singles(self):
         records = seq([("MPI_File_write", 0, 10), ("MPI_File_read", 50, 20)])
-        entries = compress_burst(records)
+        entries = compress(records)
         assert sum(e.rep * len(e.ops) for e in entries) == 2
 
 
@@ -149,7 +156,7 @@ class TestRoundTripProperty:
             for op, rs, disp, init in units:
                 ops.append((op, init + k * disp, rs))
         records = seq(ops)
-        entries = compress_burst(records)
+        entries = compress(records)
         expanded = [item for e in entries for item in expand_entry(e)]
         assert expanded == [(op, off, rs) for op, off, rs in ops]
 
@@ -161,5 +168,5 @@ class TestRoundTripProperty:
         for k in range(rep):
             for op, rs, disp, init in units:
                 ops.append((op, init + k * disp, rs))
-        entries = compress_burst(seq(ops))
+        entries = compress(seq(ops))
         assert sum(e.nbytes for e in entries) == sum(rs for _, _, rs in ops)

@@ -19,9 +19,10 @@ import sys
 
 import pytest
 
-from repro.core.lap import LAPFolder, extract_laps, extract_laps_columns
+from repro.core.lap import LAPFolder, extract_laps_columns
 from repro.tracer.tracefile import TraceRecord
 from tests.conftest import COLUMN_SOURCES, columns_from
+from tests.core.lap_reference import extract_laps
 
 W, R, WI, RI = ("MPI_File_write_at_all", "MPI_File_read_at_all",
                 "MPI_File_write_at", "MPI_File_read_at")

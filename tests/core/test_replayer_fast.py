@@ -1,4 +1,4 @@
-"""Replayer fast paths: zero-event guard, rep extrapolation, parallel sweeps."""
+"""Replayer fast paths: zero-event guard, replay memo, parallel sweeps."""
 
 from __future__ import annotations
 
@@ -43,31 +43,7 @@ class TestZeroEventGuard:
 
 
 class TestRepExtrapolation:
-    def test_matches_full_simulation(self):
-        phase = make_phase(rep=48)
-        full = replay_phase(phase, make_nfs_cluster(cache_mb=0))
-        fast = replay_phase(phase, make_nfs_cluster(cache_mb=0),
-                            extrapolate_reps=6)
-        assert fast.bw_mb_s == pytest.approx(full.bw_mb_s, rel=1e-6)
-        assert fast.bw_by_kind["write"] == pytest.approx(
-            full.bw_by_kind["write"], rel=1e-6)
-
-    def test_extrapolation_simulates_fewer_events(self):
-        phase = make_phase(rep=48)
-        simcache.disable()  # count real simulated work, not cache hits
-        try:
-            full = replay_phase(phase, make_nfs_cluster(cache_mb=0))
-            fast = replay_phase(phase, make_nfs_cluster(cache_mb=0),
-                                extrapolate_reps=6)
-            assert fast.elapsed < full.elapsed
-        finally:
-            simcache.enable()
-
-    def test_off_by_default_and_small_rep_untouched(self):
-        phase = make_phase(rep=4)
-        a = replay_phase(phase, make_nfs_cluster())
-        b = replay_phase(phase, make_nfs_cluster(), extrapolate_reps=6)
-        assert a.bw_mb_s == b.bw_mb_s  # K >= rep: no extrapolation
+    """Replay memoization (the replayer simulates every repetition)."""
 
     def test_replay_memo_hits(self):
         phase = make_phase(rep=8)

@@ -21,7 +21,7 @@ from repro.apps import (
     btio_program,
     madbench2_program,
 )
-from repro.core.lap import LAPFolder, extract_laps
+from repro.core.lap import LAPFolder
 from repro.core.model import IOModel
 from repro.tracer.columns import (
     StreamDigest,
@@ -32,6 +32,7 @@ from repro.tracer.columns import (
 from repro.tracer.hooks import TraceBundle, stream_bundle, trace_run
 from repro.tracer.tracefile import TraceRecord
 from tests.conftest import COLUMN_SOURCES, as_source, columns_from
+from tests.core.lap_reference import extract_laps
 
 OPS = ["MPI_File_write_at_all", "MPI_File_read_at_all", "MPI_File_write_at"]
 

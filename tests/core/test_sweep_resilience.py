@@ -87,6 +87,23 @@ def test_checkpoints_written_and_resumed(tmp_path):
     assert resumed == {"a": "sentinel", "b": 4, "c": 6}
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:len(blob) // 2],  # torn write
+    lambda blob: b"\x93garbage, not a pickle\x00" * 3,
+], ids=["truncated", "garbage"])
+def test_corrupt_checkpoint_reruns_the_job(tmp_path, corrupt):
+    jobs = {"a": (1,), "b": (2,), "c": (3,)}
+    cold = sweep_map(double, jobs)
+    ckpt = tmp_path / "ck"
+    sweep_map(double, jobs, checkpoint_dir=ckpt)
+    path = checkpoint_path(ckpt, "b")
+    path.write_bytes(corrupt(path.read_bytes()))
+
+    resumed = sweep_map(double, jobs, checkpoint_dir=ckpt, resume=True)
+    assert resumed == cold
+    assert pickle.loads(path.read_bytes()) == 4  # overwritten
+
+
 def test_resume_requires_checkpoint_dir():
     with pytest.raises(ValueError, match="needs a checkpoint_dir"):
         sweep_map(double, {"a": (1,)}, resume=True)

@@ -3,8 +3,8 @@
 Two fresh interpreters run the same ``full_study`` against one store
 directory.  The first is cold (populates); the second must serve its
 trace, characterization and IOR results from disk (``disk_hits > 0``)
-and produce **bit-identical** study totals (compared by ``repr``, so
-float equality is exact).
+without running the simulator once, and produce **bit-identical**
+study totals (compared by ``repr``, so float equality is exact).
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ SRC = Path(repro.__file__).resolve().parents[1]
 
 _SCRIPT = """
 import json, sys
-from repro import store
+from repro import obs, store
 from repro.apps.madbench2 import MADbench2Params, madbench2_program
 from repro.clusters import configuration_a, configuration_b
 from repro.core import cache as simcache
 from repro.core.pipeline import full_study
 
 store.attach(sys.argv[1])
+_, reg = obs.enable()
 study = full_study(
     madbench2_program, 4, MADbench2Params(),
     cluster_factories={"A": configuration_a, "B": configuration_b},
@@ -36,6 +37,8 @@ print(json.dumps({
     "best": study["selection"]["best"],
     "totals": {k: repr(v) for k, v in study["selection"]["totals"].items()},
     "disk_hits": sum(st["disk_hits"] for st in simcache.stats().values()),
+    "engine_runs": sum(c.value for _, c in
+                       reg.get("engine_runs_total").samples()),
 }))
 """
 
@@ -53,9 +56,11 @@ def test_second_process_warm_starts_bit_identically(tmp_path):
     store_dir = tmp_path / "cache"
     cold = _run_study(store_dir)
     assert cold["disk_hits"] == 0  # nothing to hit yet
+    assert cold["engine_runs"] > 0
     assert (store_dir / "trace").is_dir()  # traces persisted
 
     warm = _run_study(store_dir)
     assert warm["disk_hits"] > 0
+    assert warm["engine_runs"] == 0  # trace, IOzone and IOR all from disk
     assert warm["best"] == cold["best"]
     assert warm["totals"] == cold["totals"]  # repr-exact floats

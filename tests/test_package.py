@@ -64,3 +64,17 @@ def test_public_docstrings_present():
                 continue
             if isinstance(obj, type) or callable(obj):
                 assert obj.__doc__, f"{name}.{symbol} lacks a docstring"
+
+
+def test_lap_reference_oracle_is_test_only():
+    """The record-by-record LAP extractor is a test oracle
+    (``tests/core/lap_reference.py``), not package surface: the package
+    exports only the columnar kernel and its ``extract_laps`` wrapper."""
+    import repro.core
+    import repro.core.lap as lap
+
+    for name in ("split_bursts", "compress_burst"):
+        assert name not in repro.core.__all__
+        assert not hasattr(lap, name)
+    assert "extract_laps" in repro.core.__all__
+    assert not hasattr(lap, "TraceRecord")

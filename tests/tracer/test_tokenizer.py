@@ -201,10 +201,28 @@ class TestEndToEndParity:
         assert got.column_lists() == ref_cols
         assert list(got.op_table) == ref_ops
 
-    def test_tiny_chunks_match_one_big_chunk(self, tmp_path):
+    def test_tiny_chunks_match_one_big_chunk(self, tmp_path, monkeypatch):
+        """Blocks cut mid-file (and mid-line, then realigned to the next
+        newline) parse to the same columns as one whole-file block; the
+        few blocks holding an odd row fall back to the exact parser."""
+        from repro.tracer import ingest
+
+        lines = (CLEAN * 300 + [DISQUALIFIERS["double-space"]] + CLEAN * 300
+                 + [DISQUALIFIERS["legacy-8-field"]]) * 2
         path = tmp_path / "t"
-        path.write_text(HEADER + "\n" + "".join(CLEAN * 7))
-        small = read_trace_columns(path, chunk_lines=2)
-        big = read_trace_columns(path)
+        path.write_text(HEADER + "\n" + "".join(lines))
+        big = read_trace_columns(path, etype_size=512)
+
+        blocks = []
+        parse = ingest.bulk_parse
+
+        def counting_parse(buf):
+            blocks.append(buf)
+            return parse(buf)
+
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 4096)
+        monkeypatch.setattr(ingest, "bulk_parse", counting_parse)
+        small = read_trace_columns(path, etype_size=512)
+        assert len(blocks) >= 10
         assert small.column_lists() == big.column_lists()
         assert list(small.op_table) == list(big.op_table)
