@@ -111,21 +111,37 @@ class PoolExecutor(Executor):
                       if active is not None and active.persistent else None)
         workers = (max_workers or self.max_workers
                    or min(len(jobs), os.cpu_count() or 1))
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        timed_out = False
         try:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers) as pool:
-                futures = {name: pool.submit(_run_blob_job, head_blob, blob,
-                                             store_root)
-                           for name, blob in arg_blobs.items()}
-                for name, fut in futures.items():
-                    try:
-                        result = fut.result(timeout=timeout_s)
-                    except concurrent.futures.TimeoutError as exc:
-                        fut.cancel()
-                        yield name, job_failure(name, exc, timed_out=True), None
-                    except Exception as exc:
-                        yield name, job_failure(name, exc), None
-                    else:
-                        yield name, None, result
+            futures = {name: pool.submit(_run_blob_job, head_blob, blob,
+                                         store_root)
+                       for name, blob in arg_blobs.items()}
+            for name, fut in futures.items():
+                try:
+                    result = fut.result(timeout=timeout_s)
+                except concurrent.futures.TimeoutError as exc:
+                    timed_out = True
+                    yield name, job_failure(name, exc, timed_out=True), None
+                except Exception as exc:
+                    yield name, job_failure(name, exc), None
+                else:
+                    yield name, None, result
         finally:
+            if timed_out:
+                _terminate(pool)
+            else:
+                pool.shutdown(wait=True)
             _release_shared(handles)
+
+
+def _terminate(pool) -> None:
+    """Shut ``pool`` down without joining its jobs: a job past its
+    timeout may never return, and waiting for it would pin the caller
+    (and a service request's deadline) to the job's own run time."""
+    procs = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join()

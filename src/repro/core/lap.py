@@ -328,7 +328,7 @@ class LAPFolder:
     """The one LAP extraction fold, for batch and streamed traces.
 
     Feed trace chunks (``TraceColumns``, e.g. from
-    :func:`repro.tracer.columns.iter_trace_column_chunks`) through
+    :func:`repro.tracer.ingest.iter_ingest_chunks`) through
     :meth:`push`; :meth:`finish` returns the LAP entries.  Each chunk is
     sorted by (rank, file), cut into bursts and compressed by the one
     vectorized kernel (see "columnar extraction" above); only the last

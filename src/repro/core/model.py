@@ -99,7 +99,7 @@ class IOModel:
         """Characterization over *streamed* trace chunks.
 
         ``chunks`` is an iterable of ``TraceColumns`` pieces (e.g. from
-        :func:`repro.tracer.columns.iter_trace_column_chunks` or
+        :func:`repro.tracer.ingest.iter_ingest_chunks` or
         :func:`repro.tracer.hooks.stream_bundle`) whose concatenation is
         the full trace.  LAPs fold incrementally
         (:class:`~repro.core.lap.LAPFolder`), so memory stays

@@ -8,18 +8,14 @@ persisted either as the Fig. 2 text files or as one compact binary
 column file per run.
 """
 
-from .columns import (
-    ABS_OFFSET_UNKNOWN,
-    TraceColumns,
-    read_trace_columns,
-)
+from .columns import TraceColumns, read_trace_columns
 from .hooks import TraceBundle, Tracer, trace_run
 from .metadata import AppMetadata, FileMetadataSummary, summarize_file
 from .tracefile import (
+    ABS_OFFSET_UNKNOWN,
     HEADER,
     TraceRecord,
     iter_by_rank,
-    read_trace_file,
     write_trace_file,
 )
 
@@ -34,7 +30,6 @@ __all__ = [
     "Tracer",
     "iter_by_rank",
     "read_trace_columns",
-    "read_trace_file",
     "summarize_file",
     "trace_run",
     "write_trace_file",

@@ -1,6 +1,6 @@
 """Bulk tokenizer kernel: vectorized Fig. 2 text parsing.
 
-The classic parsers (:mod:`repro.tracer.columns`) tokenize decoded
+The exact line parser (:mod:`repro.tracer.ingest`) tokenizes decoded
 *lines*; this module tokenizes a raw **byte block** in one numpy pass:
 separator positions come from one ``flatnonzero``, every integer column
 is converted with a right-aligned digit sweep against a power-of-ten
@@ -17,8 +17,8 @@ returns ``None`` untouched and the caller re-parses the block through
 the exact line-wise path, which owns error locations, quarantine
 salvage and legacy-row semantics.  The kernel therefore never has to be
 *almost* right: it either proves the block clean and converts it, or
-declines.  Parity with the line parsers (including float bit-identity
-and op-table interning order) is asserted by
+declines.  Parity with the reference parser of the tests (including
+float bit-identity and op-table interning order) is asserted by
 ``tests/tracer/test_ingest.py`` down to ``content_digest`` equality.
 """
 
@@ -41,8 +41,8 @@ def _parse_ints(arr, d, starts, ends, bad, pow10):
     validity flags.  Lanes shorter than the current place contribute 0
     via the ``live`` mask; their (wrapped, in-bounds) gathers are
     discarded.  Returns None when the column cannot be converted
-    exactly (>18 digits would overflow int64 -- the caller's fallback
-    reproduces the classic path's behaviour for those).
+    exactly (>18 digits would overflow int64 -- the caller's exact
+    line parser owns those).
     """
     neg = arr[starts] == 45  # '-'
     s = starts + neg

@@ -13,8 +13,8 @@ float64 for ``time`` and ``duration``.
 
 On-disk formats:
 
-* the Fig. 2 **text** format (via :func:`read_trace_columns`, sharing
-  the strict header/error handling of ``read_trace_file``);
+* the Fig. 2 **text** format (via :func:`read_trace_columns`, which
+  delegates to the ingest engine, :mod:`repro.tracer.ingest`);
 * a **packed-struct binary** format (``.trc``: magic + JSON header +
   little-endian int64/float64 column blobs), also the wire and
   parse-cache encoding;
@@ -28,13 +28,12 @@ Round-trip parity between the three is asserted by
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .tracefile import ABS_OFFSET_UNKNOWN, HEADER, TraceRecord
+from .tracefile import TraceRecord
 
 #: Column names in serialization order (ints first, then floats).
 INT_COLUMNS = ("rank", "file_id", "op_code", "offset", "tick",
@@ -412,16 +411,14 @@ def read_trace_columns(path: str | Path, *,
     """Parse a Fig. 2 text trace into columns through the ingest engine.
 
     Delegates to :func:`repro.tracer.ingest.ingest_columns`: the bulk
-    numpy tokenizer on clean blocks, sharded parallel parsing with
-    ``jobs`` > 1, and the persistent parse cache when a store is
-    attached -- all bit-identical to the classic line-wise parse
-    (:func:`_read_trace_columns_lines`), which remains the fallback and
-    the reference.  Parsing and error handling match
-    :func:`repro.tracer.tracefile.read_trace_file`: the header is
-    skipped only when line 1 equals ``HEADER`` exactly, malformed rows
-    raise ``ValueError`` with ``path:lineno``, and legacy 8-field rows
+    numpy tokenizer on clean blocks, the exact line parser on the rest,
+    sharded parallel parsing with ``jobs`` > 1, and the persistent
+    parse cache when a store is attached.  The header is skipped only
+    when line 1 equals ``HEADER``; a malformed or non-UTF-8 row raises
+    ``ValueError`` with ``path:lineno``, and legacy 8-field rows
     resolve ``AbsOffset`` through ``etype_size`` (scalar or
     ``{file_id: etype}`` map) or the ``ABS_OFFSET_UNKNOWN`` sentinel.
+    ``read_trace_columns(path).to_records()`` is the per-row view.
 
     With ``quarantine`` (a
     :class:`~repro.tracer.quarantine.QuarantineReport`) malformed rows
@@ -437,233 +434,3 @@ def read_trace_columns(path: str | Path, *,
 
     return ingest_columns(path, etype_size=etype_size, quarantine=quarantine,
                           jobs=jobs, cache=cache)
-
-
-def _read_trace_columns_lines(path: str | Path, *,
-                              etype_size=None,
-                              chunk_lines: int = 1 << 16,
-                              quarantine=None) -> TraceColumns:
-    """The classic chunked line-wise parse (the ingest reference path).
-
-    Memory is O(chunk) beyond the output columns themselves: no
-    per-row dataclass is ever built.  Kept as a standalone entry point
-    so the ingest engine and the parity tests can run it directly.
-    """
-    path = Path(path)
-    cols = TraceColumns._empty_lists()
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
-    with path.open() as f:
-        for base_lineno, lines in _iter_line_batches(f, chunk_lines):
-            _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
-                         etype_size, quarantine)
-    # columns accumulate as plain lists; one bulk conversion at the end
-    return TraceColumns(op_table=op_table, **cols)
-
-
-def iter_trace_column_chunks(path: str | Path, *,
-                             etype_size: int | Mapping[int, int] | None = None,
-                             chunk_rows: int = 1 << 16,
-                             quarantine=None) -> Iterator[TraceColumns]:
-    """Stream a Fig. 2 text trace as ``TraceColumns`` chunks.
-
-    The streaming twin of :func:`read_trace_columns`: identical parsing,
-    header handling and quarantine semantics, but the file is never
-    materialized -- at most ``chunk_rows`` rows are alive at once.  Each
-    yielded chunk carries its own (growing) op-table snapshot; feed the
-    chunks to :meth:`TraceColumns.from_stream` or a
-    :class:`~repro.core.lap.LAPFolder`, which re-intern the codes.
-    """
-    check_chunk_rows(chunk_rows)
-    path = Path(path)
-    op_table: list[str] = []
-    op_index: dict[str, int] = {}
-
-    with path.open() as f:
-        for base_lineno, lines in _iter_line_batches(f, chunk_rows):
-            cols = TraceColumns._empty_lists()
-            _parse_chunk(lines, base_lineno, path, cols, op_table, op_index,
-                         etype_size, quarantine)
-            if cols["rank"]:
-                yield TraceColumns(op_table=list(op_table), **cols)
-
-
-#: readlines() size hint per batch: trace rows run ~50-80 bytes, so a
-#: 40-byte/row budget keeps a batch at or under ``chunk_rows`` rows for
-#: any realistic trace while still reading in large C-level gulps.
-_BATCH_BYTES_PER_ROW = 40
-
-#: Any whitespace character that is neither the single-space field
-#: separator nor the newline line break (tab, \r, \v, unicode spaces):
-#: its presence disqualifies a batch from the flat fast path.
-_ODD_WS = re.compile(r"[^\S \n]")
-
-
-def _iter_line_batches(f, chunk_rows: int):
-    """Yield ``(base_lineno, raw_lines)`` batches of <= chunk_rows lines.
-
-    Reading happens through ``readlines(hint)`` -- one C call per batch
-    instead of a Python-level loop per line -- which is where the
-    parse-dominated streaming path used to spend a third of its time.
-    The Fig. 2 header is skipped only when line 1 equals ``HEADER``
-    exactly, matching ``read_trace_file``.
-    """
-    lineno = 1
-    first = f.readline()
-    if not first:
-        return
-    if first.strip() != HEADER:
-        yield lineno, [first]
-    lineno += 1
-    while True:
-        batch = f.readlines(chunk_rows * _BATCH_BYTES_PER_ROW)
-        if not batch:
-            return
-        for lo in range(0, len(batch), chunk_rows):
-            part = batch[lo:lo + chunk_rows]
-            yield lineno + lo, part
-        lineno += len(batch)
-
-
-def _parse_chunk(raw_lines, base_lineno, path, cols, op_table, op_index,
-                 etype_size, quarantine=None) -> None:
-    if _parse_chunk_flat(raw_lines, cols, op_table, op_index):
-        return
-    # exact row-by-row re-parse: precise error locations, 8-field
-    # legacy rows, blank-line skips, quarantine salvage
-    pending = []
-    for i, raw in enumerate(raw_lines):
-        line = raw.strip()
-        if line:
-            pending.append((base_lineno + i, line))
-    rows = [line.split() for _, line in pending]
-    _parse_chunk_rows(pending, rows, path, cols, op_table, op_index,
-                      etype_size, quarantine)
-
-
-def _parse_chunk_flat(raw_lines, cols, op_table, op_index) -> bool:
-    """Single-pass tokenizer for the dominant case: clean 9-field rows.
-
-    The whole chunk is tokenized with one ``str.split`` and each column
-    converted with one C-level ``map`` over a stride-9 slice -- no
-    per-line list, no per-field Python-loop conversion.  Committing is
-    gated on an exact alignment proof: the batch must be free of any
-    whitespace except single-space separators and newlines (no tabs,
-    no unicode spaces, no runs, no space at a line edge) and every line
-    must carry exactly eight separators -- so each line provably
-    contributes exactly nine whitespace-free tokens and the stride
-    slices cannot silently mix columns across malformed lines.
-    Anything else -- legacy 8-field rows, runs of whitespace, malformed
-    values -- returns False untouched and falls back to the exact
-    row-wise parser.
-    """
-    n = len(raw_lines)
-    if not n:
-        return True
-    joined = "".join(raw_lines)
-    # One C-level scan each: any whitespace other than the single-space
-    # separators and the newline line breaks (tabs, \r, unicode spaces),
-    # any empty field (adjacent spaces, space at a line edge) -- all
-    # disqualify the whole batch.
-    if (_ODD_WS.search(joined) is not None or "  " in joined
-            or " \n" in joined or "\n " in joined
-            or joined[0] == " " or joined[-1] == " "):
-        return False
-    for raw in raw_lines:
-        if raw.count(" ") != 8:
-            return False
-    flat = joined.split()
-    if len(flat) != 9 * n:  # unreachable given the guard; kept as a belt
-        return False
-    try:
-        rank = list(map(int, flat[0::9]))
-        fid = list(map(int, flat[1::9]))
-        off = list(map(int, flat[3::9]))
-        tick = list(map(int, flat[4::9]))
-        rs = list(map(int, flat[5::9]))
-        time = list(map(float, flat[6::9]))
-        dur = list(map(float, flat[7::9]))
-        abs_off = list(map(int, flat[8::9]))
-    except ValueError:
-        return False  # malformed value: let the exact parser locate it
-    for col in (rank, fid, off, tick, rs, abs_off):
-        if min(col) < I64_MIN or max(col) > I64_MAX:
-            return False  # outside int64: the exact parser reports it
-    codes = []
-    append_code = codes.append
-    get = op_index.get
-    for op in flat[2::9]:
-        code = get(op)
-        if code is None:
-            code = op_index[op] = len(op_table)
-            op_table.append(op)
-        append_code(code)
-    cols["rank"].extend(rank)
-    cols["file_id"].extend(fid)
-    cols["op_code"].extend(codes)
-    cols["offset"].extend(off)
-    cols["tick"].extend(tick)
-    cols["request_size"].extend(rs)
-    cols["time"].extend(time)
-    cols["duration"].extend(dur)
-    cols["abs_offset"].extend(abs_off)
-    return True
-
-
-def _parse_chunk_rows(pending, rows, path, cols, op_table, op_index,
-                      etype_size, quarantine=None) -> None:
-    is_map = isinstance(etype_size, Mapping)
-    salvaging = quarantine is not None and not quarantine.strict
-    if salvaging:
-        from .quarantine import guess_rank
-    for (lineno, line), parts in zip(pending, rows):
-        if len(parts) not in (8, 9):
-            if salvaging:
-                quarantine.note(path, guess_rank(line), lineno,
-                                f"malformed trace line ({len(parts)} fields)",
-                                line)
-                continue
-            raise ValueError(f"{path}:{lineno}: malformed trace line "
-                             f"({len(parts)} fields): {line!r}")
-        try:
-            # Parse every field before appending anything, so a bad row
-            # can be skipped without skewing column alignment.
-            rank = int(parts[0])
-            fid = int(parts[1])
-            off = int(parts[3])
-            tick = int(parts[4])
-            rs = int(parts[5])
-            t = float(parts[6])
-            d = float(parts[7])
-            if len(parts) == 9:
-                abs_off = int(parts[8])
-            else:
-                es = etype_size.get(fid) if is_map else etype_size
-                abs_off = off * es if es else ABS_OFFSET_UNKNOWN
-        except ValueError:
-            reason = "malformed trace line"
-        else:
-            reason = None
-            for v in (rank, fid, off, tick, rs, abs_off):
-                if not I64_MIN <= v <= I64_MAX:
-                    reason = "integer field outside int64"
-                    break
-        if reason is not None:
-            if salvaging:
-                quarantine.note(path, guess_rank(line), lineno, reason, line)
-                continue
-            raise ValueError(f"{path}:{lineno}: {reason}: {line!r}")
-        cols["rank"].append(rank)
-        cols["file_id"].append(fid)
-        op = parts[2]
-        code = op_index.get(op)
-        if code is None:
-            code = op_index[op] = len(op_table)
-            op_table.append(op)
-        cols["op_code"].append(code)
-        cols["offset"].append(off)
-        cols["tick"].append(tick)
-        cols["request_size"].append(rs)
-        cols["time"].append(t)
-        cols["duration"].append(d)
-        cols["abs_offset"].append(abs_off)

@@ -38,52 +38,38 @@ from .tracefile import TraceRecord, write_trace_file
 class TraceBundle:
     """A complete traced run: per-process events + metadata.
 
-    Constructible from either ``records`` (list of TraceRecord) or
-    ``columns`` (TraceColumns); the missing view is derived lazily and
-    cached.  Both views hold the same rows in the same canonical order.
+    Holds the rows as :class:`TraceColumns` in the canonical order; the
+    :class:`TraceRecord` view (``records``, ``by_rank``) is derived on
+    first access and cached.
     """
 
-    def __init__(self, nprocs: int, records: list[TraceRecord] | None = None,
-                 metadata: AppMetadata | None = None,
-                 columns: TraceColumns | None = None):
-        if records is None and columns is None:
-            raise ValueError("TraceBundle needs records or columns")
+    def __init__(self, nprocs: int, *, columns: TraceColumns,
+                 metadata: AppMetadata | None = None):
         self.nprocs = nprocs
         self.metadata = metadata
-        self._records = records
-        self._columns = columns
+        self.columns = columns
+        self._records: list[TraceRecord] | None = None
 
     @property
     def records(self) -> list[TraceRecord]:
         if self._records is None:
-            self._records = self._columns.to_records()
+            self._records = self.columns.to_records()
         return self._records
 
     @property
-    def columns(self) -> TraceColumns:
-        if self._columns is None:
-            self._columns = TraceColumns.from_records(self._records)
-        return self._columns
-
-    @property
     def nevents(self) -> int:
-        cols = self._columns
-        return len(cols) if cols is not None else len(self._records)
+        return len(self.columns)
 
     def by_rank(self, rank: int) -> list[TraceRecord]:
         return [r for r in self.records if r.rank == rank]
 
     @property
     def nfiles(self) -> int:
-        if self._columns is not None:
-            return self._columns.nfiles
-        return len({r.file_id for r in self._records})
+        return self.columns.nfiles
 
     @property
     def total_bytes(self) -> int:
-        if self._columns is not None:
-            return self._columns.total_bytes
-        return sum(r.request_size for r in self._records)
+        return self.columns.total_bytes
 
     def save(self, directory: str | Path, binary: bool = False) -> None:
         """Write the trace: ``trace.<rank>`` text files (the paper's

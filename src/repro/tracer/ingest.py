@@ -1,54 +1,59 @@
-"""Parallel, cache-backed trace ingest: raw text -> ``TraceColumns``.
+"""Trace ingest: raw Fig. 2 text -> ``TraceColumns``.
 
-Every downstream stage (streaming characterization, the lattice, warm
-studies) is now faster than reading its input; this engine closes that
-gap with three layers on top of the classic
-line-wise parser (:func:`repro.tracer.columns._read_trace_columns_lines`),
-which stays bit-for-bit the reference:
+This module owns the only text-trace parser.  It has exactly two row
+parsers, and every text entry point (``read_trace_columns``,
+``TraceBundle.load``, ``stream_bundle``) goes through them:
 
-1. **Bulk tokenizer kernels** (:mod:`repro.tracer.bulk`): each file is
-   read as newline-aligned ~4 MiB byte blocks and handed to the numpy
-   kernel, which either proves the block is clean single-space 9-field
-   rows and converts it wholesale, or declines -- in which case the
-   block re-parses through the exact line-wise path (precise
-   ``path:lineno`` errors, 8-field legacy rows, quarantine salvage).
+1. **Bulk tokenizer kernel** (:func:`repro.tracer.bulk.bulk_parse`):
+   each file is read as newline-aligned ~4 MiB byte blocks and handed
+   to the numpy kernel, which either proves the block is clean
+   single-space 9-field rows and converts it wholesale, or declines.
    Blocks keep the parse inside the CPU cache: one whole-file pass over
    tens of MB gathers an order of magnitude slower than the same work
    done block-wise.
 
-2. **Sharded parallel parse** (``jobs`` > 1, or the
-   ``REPRO_INGEST_JOBS`` env var, or an :func:`ingest_jobs` override):
-   one file splits into byte-range shards cut at line boundaries and
-   fans out through the PR 8 executors layer; per-rank bundle files fan
-   out whole.  Workers always parse in salvage mode into a local
-   report with shard-relative line numbers; the master prefix-sums the
-   shard line counts and replays the entries in ``(path, lineno)``
-   order -- so quarantine reports are byte-identical to a serial
-   ingest, and in strict mode the re-raised ``ValueError`` carries the
-   exact classic ``path:lineno`` message.  Any worker infrastructure
-   failure falls back to the serial path.
+2. **Exact line parser** (:func:`_parse_lines`): a declined block
+   re-parses row by row from its raw byte lines.  This path owns
+   everything the kernel refuses: UTF-8 decoding, ``path:lineno``
+   errors, 8-field legacy rows, blank lines, odd whitespace and
+   quarantine salvage.
 
-3. **Persistent parse cache**: with a persistent :mod:`repro.store`
-   attached, a parsed file is materialized as its packed ``.trc``
-   encoding keyed by the sha256 of the raw text (plus the
-   ``etype_size`` mapping and a schema tag).  Re-ingesting an unchanged
-   file becomes a binary bundle load.  Invalidation is automatic: any
-   byte change to the text, a different ``etype_size``, or a cache
-   schema bump produces a different key.  An entry that fails to
-   decode is a miss (re-parsed and overwritten), never an error.
-   Quarantine-mode parses neither read nor write the cache (their
-   output may be a subset of the file).
+Two layers sit on top:
 
-All three layers preserve exact output equality with the classic
-parser -- same columns, same op-table interning order, same
-``content_digest`` -- asserted down to the digest by
-``tests/tracer/test_ingest.py`` and the CI ingest parity job.
+* **Sharded parallel parse** (``jobs`` > 1, or the
+  ``REPRO_INGEST_JOBS`` env var, or an :func:`ingest_jobs` override):
+  one file splits into byte-range shards cut at line boundaries and
+  fans out through the executors layer; per-rank bundle files fan out
+  whole.  Workers always parse in salvage mode into a local report
+  with shard-relative line numbers; the master prefix-sums the shard
+  line counts and replays the entries in ``(path, lineno)`` order --
+  so quarantine reports are byte-identical to a serial ingest, and in
+  strict mode the re-raised ``ValueError`` carries the same
+  ``path:lineno`` message.  Any worker infrastructure failure falls
+  back to the serial path.
+
+* **Persistent parse cache**: with a persistent :mod:`repro.store`
+  attached, a parsed file is materialized as its packed ``.trc``
+  encoding keyed by the sha256 of the raw text (plus the
+  ``etype_size`` mapping and a schema tag).  Re-ingesting an unchanged
+  file becomes a binary bundle load.  Invalidation is automatic: any
+  byte change to the text, a different ``etype_size``, or a cache
+  schema bump produces a different key.  An entry that fails to
+  decode is a miss (re-parsed and overwritten), never an error.
+  Quarantine-mode parses neither read nor write the cache (their
+  output may be a subset of the file).
+
+Serial, sharded, streamed and cached ingests give the same columns,
+op-table interning order, ``content_digest``, errors and quarantine
+reports; ``tests/tracer/test_ingest.py`` asserts this against the
+record-by-record oracle in ``tests/tracer/trace_reference.py``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -60,12 +65,14 @@ from repro import store as _store
 
 from .bulk import bulk_parse
 from .columns import (
+    I64_MAX,
+    I64_MIN,
     TraceColumns,
-    _parse_chunk,
-    _read_trace_columns_lines,
     check_chunk_rows,
+    intern_ops,
 )
-from .tracefile import HEADER
+from .quarantine import QuarantineReport, guess_rank
+from .tracefile import ABS_OFFSET_UNKNOWN, HEADER
 
 __all__ = [
     "ENV_JOBS", "DEFAULT_JOBS_CAP", "parse_jobs", "resolve_jobs",
@@ -155,29 +162,14 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 # -- block plumbing -----------------------------------------------------------
 
-def _detect_header(buf: bytes) -> tuple[bytes, int]:
-    """Split off the first (universal-newline) line of ``buf``.
-
-    Returns ``(first_line_without_terminator, offset_of_line_2)``.
-    Mirrors text-mode universal newlines: ``\\n``, ``\\r\\n`` and lone
-    ``\\r`` all end the line.
-    """
-    i_n = buf.find(b"\n")
-    i_r = buf.find(b"\r")
-    if i_r != -1 and (i_n == -1 or i_r < i_n):
-        end = i_r + (2 if buf[i_r + 1:i_r + 2] == b"\n" else 1)
-        return buf[:i_r], end
-    if i_n != -1:
-        return buf[:i_n], i_n + 1
-    return buf, len(buf)
-
-
 def _read_first_line(f) -> tuple[bytes, int, bytes]:
-    """Streaming :func:`_detect_header`: ``(first_line, offset, carry)``.
+    """Split the first (universal-newline) line off an open binary file.
 
-    ``offset`` is the byte offset of line 2 (0 for an empty file);
-    ``carry`` is everything already read beyond the first line, which
-    the block iterator prepends before continuing from ``f``.
+    Returns ``(first_line, offset, carry)``: the line without its
+    terminator (``\\n``, ``\\r\\n`` or a lone ``\\r``), the byte offset
+    of line 2 (0 for an empty file), and everything already read beyond
+    the first line, which the block iterator prepends before continuing
+    from ``f``.
     """
     buf = b""
     while True:
@@ -190,29 +182,20 @@ def _read_first_line(f) -> tuple[bytes, int, bytes]:
         # a trailing \r may be half of a \r\n pair: read one more chunk
         if i_n != -1 or (i_r != -1 and i_r < len(buf) - 1):
             break
-    first, off = _detect_header(buf)
-    return first, off, buf[off:]
+    i_n = buf.find(b"\n")
+    i_r = buf.find(b"\r")
+    if i_r != -1 and (i_n == -1 or i_r < i_n):
+        off = i_r + (2 if buf[i_r + 1:i_r + 2] == b"\n" else 1)
+        return buf[:i_r], off, buf[off:]
+    if i_n != -1:
+        return buf[:i_n], i_n + 1, buf[i_n + 1:]
+    return buf, len(buf), b""
 
 
 def _is_header(first_line: bytes) -> bool:
-    # errors="replace" cannot produce a false match (HEADER is ASCII),
-    # and genuinely undecodable data still raises in the block parse,
-    # as the classic text-mode reader would.
+    # errors="replace" cannot produce a false match (HEADER is ASCII);
+    # an undecodable line 1 is data, rejected by the line parser.
     return first_line.decode("utf-8", "replace").strip() == HEADER
-
-
-def _memory_blocks(data: bytes, off: int) -> Iterator[bytes]:
-    """Newline-aligned ~BLOCK_BYTES slices of an in-memory file."""
-    n = len(data)
-    while off < n:
-        end = off + BLOCK_BYTES
-        if end < n:
-            nl = data.find(b"\n", end - 1)
-            end = n if nl < 0 else nl + 1
-        else:
-            end = n
-        yield data[off:end]
-        off = end
 
 
 def _stream_blocks(f, carry: bytes = b"") -> Iterator[bytes]:
@@ -227,6 +210,21 @@ def _stream_blocks(f, carry: bytes = b"") -> Iterator[bytes]:
         if not buf.endswith(b"\n"):
             buf += f.readline()
         yield buf
+
+
+def _text_blocks(f) -> tuple[Iterator[bytes], int]:
+    """``(blocks, first_lineno)`` for a whole trace file open in binary.
+
+    The Fig. 2 header is skipped only when line 1 equals ``HEADER``
+    (surrounding whitespace aside); otherwise line 1 -- possibly blank
+    -- is re-prefixed so the blocks keep the exact line numbering.
+    """
+    first, off, carry = _read_first_line(f)
+    if _is_header(first):
+        return _stream_blocks(f, carry), 2
+    if off > 0 or first:
+        return _stream_blocks(f, first + b"\n" + carry), 1
+    return iter(()), 1
 
 
 def _range_blocks(f, remaining: int) -> Iterator[bytes]:
@@ -245,25 +243,82 @@ def _range_blocks(f, remaining: int) -> Iterator[bytes]:
         yield buf
 
 
-def _universal_lines(block: bytes) -> list[str]:
-    """Decode one block into text-mode lines (universal newlines)."""
-    text = block.decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n")
+# -- the exact line parser ----------------------------------------------------
+
+def _reject(path, lineno: int, reason: str, line: str, quarantine) -> None:
+    """Strict: raise ``path:lineno: reason: 'line'``; salvage: note it."""
+    if quarantine is None or quarantine.strict:
+        raise ValueError(f"{path}:{lineno}: {reason}: {line!r}") from None
+    quarantine.note(path, guess_rank(line), lineno, reason, line)
 
 
-def _intern(local_table, op_table: list[str], op_index: dict[str, int]):
-    remap = []
-    for op in local_table:
+def _parse_lines(lines, first_lineno: int, path, cols, op_table, op_index,
+                 etype_size, quarantine) -> None:
+    """Parse raw byte ``lines`` (the first is line ``first_lineno``).
+
+    Appends to the column lists ``cols`` and interns ops into
+    ``op_table``/``op_index``.  Each line decodes as UTF-8, blank lines
+    are skipped, and a row must carry 8 or 9 whitespace-separated
+    fields whose integers fit int64.  Legacy 8-field rows resolve
+    ``AbsOffset`` as ``offset * etype_size`` (scalar or ``{file_id:
+    etype}`` map) or the ``ABS_OFFSET_UNKNOWN`` sentinel.  A bad line
+    raises ``ValueError("path:lineno: ...")``, or with a salvaging
+    ``quarantine`` becomes one entry while every row around it
+    survives.  Every field parses before anything is appended, so a
+    skipped row never skews column alignment.
+    """
+    is_map = isinstance(etype_size, Mapping)
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            _reject(path, lineno, "trace line is not valid UTF-8",
+                    raw.decode("utf-8", "backslashreplace").strip(),
+                    quarantine)
+            continue
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (8, 9):
+            _reject(path, lineno,
+                    f"malformed trace line ({len(parts)} fields)", line,
+                    quarantine)
+            continue
+        try:
+            rank = int(parts[0])
+            fid = int(parts[1])
+            off = int(parts[3])
+            tick = int(parts[4])
+            rs = int(parts[5])
+            t = float(parts[6])
+            d = float(parts[7])
+            if len(parts) == 9:
+                abs_off = int(parts[8])
+            else:
+                es = etype_size.get(fid) if is_map else etype_size
+                abs_off = off * es if es else ABS_OFFSET_UNKNOWN
+        except ValueError:
+            _reject(path, lineno, "malformed trace line", line, quarantine)
+            continue
+        ints = (rank, fid, off, tick, rs, abs_off)
+        if min(ints) < I64_MIN or max(ints) > I64_MAX:
+            _reject(path, lineno, "integer field outside int64", line,
+                    quarantine)
+            continue
+        op = parts[2]
         code = op_index.get(op)
         if code is None:
             code = op_index[op] = len(op_table)
             op_table.append(op)
-        remap.append(code)
-    return remap
+        cols["rank"].append(rank)
+        cols["file_id"].append(fid)
+        cols["op_code"].append(code)
+        cols["offset"].append(off)
+        cols["tick"].append(tick)
+        cols["request_size"].append(rs)
+        cols["time"].append(t)
+        cols["duration"].append(d)
+        cols["abs_offset"].append(abs_off)
 
 
 def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
@@ -271,11 +326,9 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
     """Parse newline-aligned blocks; yield ``(nlines, part_or_None)``.
 
     Each yielded part's op codes are already *global* (interned against
-    the shared ``op_table`` in first-appearance order, exactly like the
-    sequential parsers).  Blocks the bulk kernel cannot prove clean
-    re-parse through the exact line-wise path with correct absolute
-    line numbers, so errors and quarantine entries match the classic
-    parser byte for byte.
+    the shared ``op_table`` in first-appearance order).  Blocks the bulk
+    kernel cannot prove clean re-parse through :func:`_parse_lines`
+    with absolute line numbers.
     """
     lineno = start_lineno
     for buf in blocks:
@@ -283,7 +336,7 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
         if out is not None:
             local = out.pop("op_table")
             nlines = len(out["rank"])
-            remap = _intern(local, op_table, op_index)
+            remap = intern_ops(local, op_table, op_index)
             if nlines and remap != list(range(len(remap))):
                 out["op_code"] = np.asarray(remap,
                                             dtype=np.int64)[out["op_code"]]
@@ -293,10 +346,10 @@ def _block_parts(blocks, path, start_lineno: int, op_table, op_index,
             lineno += nlines
             yield nlines, part
             continue
-        lines = _universal_lines(buf)
+        lines = buf.splitlines()  # bytes: only \n, \r\n and \r end a line
         cols = TraceColumns._empty_lists()
-        _parse_chunk([ln + "\n" for ln in lines], lineno, path, cols,
-                     op_table, op_index, etype_size, quarantine)
+        _parse_lines(lines, lineno, path, cols, op_table, op_index,
+                     etype_size, quarantine)
         nrows = len(cols["rank"])
         if obs.ACTIVE:
             obs.inc("ingest_rows_total", nrows, kernel="lines")
@@ -330,14 +383,15 @@ def ingest_columns(path: str | Path, *,
                    executor=None) -> TraceColumns:
     """Parse one Fig. 2 text trace into columns through the engine.
 
-    Drop-in for the classic parser (``read_trace_columns`` delegates
-    here) with identical output, errors and quarantine behaviour.
-    ``jobs`` > 1 shards the file across a process pool; ``cache=False``
-    bypasses the parse cache (``None`` = use it when a persistent store
-    is attached; quarantine-mode parses always bypass it).  A cache
-    entry that fails to decode counts as a miss and is overwritten.
-    ``executor`` overrides the shard executor (tests inject a serial
-    one).
+    ``read_trace_columns`` delegates here.  The header is skipped only
+    when line 1 equals ``HEADER``; every other line goes through the
+    bulk kernel or the exact line parser (:func:`_parse_lines`), which
+    fixes the errors and quarantine entries.  ``jobs`` > 1 shards the
+    file across a process pool; ``cache=False`` bypasses the parse
+    cache (``None`` = use it when a persistent store is attached;
+    quarantine-mode parses always bypass it).  A cache entry that fails
+    to decode counts as a miss and is overwritten.  ``executor``
+    overrides the shard executor (tests inject a serial one).
     """
     path = Path(path)
     njobs = resolve_jobs(jobs)
@@ -363,15 +417,11 @@ def ingest_columns(path: str | Path, *,
         cols = None
         if njobs > 1:
             cols = _sharded_parse(path, etype_size, quarantine, njobs,
-                                  executor, data=data)
+                                  executor)
         if cols is None:
-            try:
-                cols = _serial_parse(path, data, etype_size, quarantine)
-            except UnicodeDecodeError:
-                # the classic text-mode reader owns decode errors (and
-                # their exact location); replay through it
-                return _read_trace_columns_lines(
-                    path, etype_size=etype_size, quarantine=quarantine)
+            with (io.BytesIO(data) if data is not None
+                  else path.open("rb")) as f:
+                cols = _serial_parse(f, path, etype_size, quarantine)
         if key is not None:
             store.put(CACHE_NAME, key, cols.to_bytes())
         sp.annotate(rows=len(cols))
@@ -389,35 +439,15 @@ def _decode_cached(blob) -> TraceColumns | None:
         return None
 
 
-def _serial_parse(path: Path, data: bytes | None, etype_size,
-                  quarantine) -> TraceColumns:
+def _serial_parse(f, path: Path, etype_size, quarantine) -> TraceColumns:
+    """One whole trace file (open in binary mode) as columns."""
+    blocks, lineno = _text_blocks(f)
     op_table: list[str] = []
     op_index: dict[str, int] = {}
-    parts: list[TraceColumns] = []
-
-    def collect(blocks, start_lineno):
-        for _nlines, part in _block_parts(blocks, path, start_lineno,
-                                          op_table, op_index, etype_size,
-                                          quarantine):
-            if part is not None:
-                parts.append(part)
-
-    if data is not None:
-        first, off = _detect_header(data)
-        if _is_header(first):
-            collect(_memory_blocks(data, off), 2)
-        else:
-            collect(_memory_blocks(data, 0), 1)
-    else:
-        with path.open("rb") as f:
-            first, off, carry = _read_first_line(f)
-            if _is_header(first):
-                collect(_stream_blocks(f, carry), 2)
-            elif off > 0 or first:
-                # line 1 is data (possibly blank): re-prefix it so the
-                # blocks preserve the exact line structure and numbering
-                collect(_stream_blocks(f, first + b"\n" + carry), 1)
-    return TraceColumns.concat(parts)
+    return TraceColumns.concat([
+        part for _nlines, part in _block_parts(
+            blocks, path, lineno, op_table, op_index, etype_size, quarantine)
+        if part is not None])
 
 
 # -- sharded parallel parse ---------------------------------------------------
@@ -429,10 +459,8 @@ def _shard_worker(path_str: str, start: int, end: int, etype_size):
     returns ``(trc_blob, nlines, entries)`` where ``entries`` is
     ``[(rel_lineno, rank, reason, line), ...]`` in file order.  The
     master decides whether the entries become quarantine notes or the
-    classic strict ``ValueError``.
+    strict ``ValueError``.
     """
-    from .quarantine import QuarantineReport
-
     path = Path(path_str)
     report = QuarantineReport()
     op_table: list[str] = []
@@ -452,38 +480,26 @@ def _shard_worker(path_str: str, start: int, end: int, etype_size):
 
 
 def _replay_entries(path, entries, quarantine) -> None:
-    """Gathered shard entries -> exact classic error or quarantine notes.
+    """Gathered shard entries -> the strict error or quarantine notes.
 
     ``entries`` must be ``(lineno, rank, reason, line)`` tuples already
     in ``(path, lineno)`` order, which the shard prefix-sum guarantees:
     that is what makes a parallel quarantine report byte-identical to a
     serial one.
     """
-    if not entries:
-        return
-    if quarantine is None or quarantine.strict:
-        lineno, _rank, reason, line = entries[0]
-        raise ValueError(f"{path}:{lineno}: {reason}" +
-                         (f": {line!r}" if line else ""))
-    for lineno, rank, reason, line in entries:
-        quarantine.note(path, rank, lineno, reason, line)
+    for lineno, _rank, reason, line in entries:
+        _reject(path, lineno, reason, line, quarantine)
 
 
 def _sharded_parse(path: Path, etype_size, quarantine, njobs: int,
-                   executor, data: bytes | None = None):
+                   executor):
     """Fan one file out as byte-range shards; None = use the serial path."""
     try:
         size = path.stat().st_size
+        with path.open("rb") as f:
+            first, off, _carry = _read_first_line(f)
     except OSError:
         return None
-    if data is not None:
-        first, off = _detect_header(data)
-    else:
-        try:
-            with path.open("rb") as f:
-                first, off, _carry = _read_first_line(f)
-        except OSError:
-            return None
     skip = _is_header(first)
     start = off if skip else 0
     lineno0 = 2 if skip else 1
@@ -555,12 +571,11 @@ def iter_ingest_chunks(path: str | Path, *,
                        cache: bool | None = None) -> Iterator[TraceColumns]:
     """Stream a text trace as ``TraceColumns`` chunks of <= chunk_rows.
 
-    The engine-powered twin of
-    :func:`repro.tracer.columns.iter_trace_column_chunks` with the same
-    contract (growing op-table snapshots, global codes, identical
-    concatenation).  With ``jobs`` = 1 and no cache hit available this
-    streams for real -- peak memory is O(block) -- through the bulk
-    kernel.  ``jobs`` > 1 or a warm parse cache materialize the file
+    Each chunk carries a (growing) op-table snapshot and global op
+    codes; the chunks concatenate to :func:`ingest_columns`' result,
+    with the same errors and quarantine entries.  With ``jobs`` = 1
+    and no cache hit available this streams for real -- peak memory is
+    O(block).  ``jobs`` > 1 or a warm parse cache materialize the file
     via :func:`ingest_columns` first (trading the O(block) bound for
     speed) and re-slice it as O(1) views.
     """
@@ -579,13 +594,7 @@ def iter_ingest_chunks(path: str | Path, *,
     op_table: list[str] = []
     op_index: dict[str, int] = {}
     with path.open("rb") as f:
-        first, off, carry = _read_first_line(f)
-        if _is_header(first):
-            blocks, lineno = _stream_blocks(f, carry), 2
-        elif off > 0 or first:
-            blocks, lineno = _stream_blocks(f, first + b"\n" + carry), 1
-        else:
-            return
+        blocks, lineno = _text_blocks(f)
         for _nlines, part in _block_parts(blocks, path, lineno, op_table,
                                           op_index, etype_size, quarantine):
             if part is None:
@@ -609,8 +618,6 @@ def _file_worker(path_str: str, etype_size, salvage: bool):
     attempt is cache-eligible; only files that fail it re-parse in
     salvage mode (cache bypassed -- salvaged output is a subset).
     """
-    from .quarantine import QuarantineReport
-
     try:
         try:
             cols = ingest_columns(path_str, etype_size=etype_size, jobs=1)

@@ -5,7 +5,7 @@ trace file mid-line, a full filesystem interleaves garbage into the
 text, a binary bundle loses its tail.  The strict loaders raise on the
 first bad byte, which throws away every well-formed record collected
 before the corruption.  Quarantine mode inverts that: pass a
-:class:`QuarantineReport` to :func:`~repro.tracer.tracefile.read_trace_file`,
+:class:`QuarantineReport` to
 :func:`~repro.tracer.columns.read_trace_columns` or
 :meth:`~repro.tracer.hooks.TraceBundle.load` and every salvageable
 record is kept while each rejected line / missing file / corrupt blob

@@ -23,16 +23,13 @@ from repro.apps import (
 )
 from repro.core.lap import LAPFolder
 from repro.core.model import IOModel
-from repro.tracer.columns import (
-    StreamDigest,
-    TraceColumns,
-    iter_trace_column_chunks,
-    read_trace_columns,
-)
+from repro.tracer.columns import StreamDigest, TraceColumns
 from repro.tracer.hooks import TraceBundle, stream_bundle, trace_run
+from repro.tracer.ingest import iter_ingest_chunks
 from repro.tracer.tracefile import TraceRecord
 from tests.conftest import COLUMN_SOURCES, as_source, columns_from
 from tests.core.lap_reference import extract_laps
+from tests.tracer.trace_reference import reference_columns
 
 OPS = ["MPI_File_write_at_all", "MPI_File_read_at_all", "MPI_File_write_at"]
 
@@ -185,28 +182,23 @@ def test_iter_chunks_matches_batch_reader(tmp_path, bt_bundle):
     etypes = {f.file_id: f.etype_size
               for f in bt_bundle.metadata.files}
     path = tmp_path / "txt" / "trace.0"
-    batch = read_trace_columns(path, etype_size=etypes)
-    parts = list(iter_trace_column_chunks(path, etype_size=etypes,
-                                          chunk_rows=17))
+    batch = reference_columns(path, etype_size=etypes)
+    parts = list(iter_ingest_chunks(path, etype_size=etypes, chunk_rows=17))
     assert all(len(p) <= 17 for p in parts)
     cat = TraceColumns.concat(parts)
     assert cat.content_digest() == batch.content_digest()
 
 
 @pytest.mark.parametrize("chunk_rows", [0, -5])
-@pytest.mark.parametrize("entry", ["iter_trace_column_chunks",
-                                   "iter_ingest_chunks", "stream_bundle",
+@pytest.mark.parametrize("entry", ["iter_ingest_chunks", "stream_bundle",
                                    "characterize_stream"])
 def test_non_positive_chunk_rows_rejected(tmp_path, bt_bundle, entry,
                                           chunk_rows):
     """A non-positive chunk size raises before any file is read, instead
     of streaming no rows (an empty model) or failing inside range()."""
     from repro.core.pipeline import characterize_stream
-    from repro.tracer.ingest import iter_ingest_chunks
 
     calls = {
-        "iter_trace_column_chunks": lambda d: next(iter_trace_column_chunks(
-            d / "trace.0", chunk_rows=chunk_rows)),
         "iter_ingest_chunks": lambda d: next(iter_ingest_chunks(
             d / "trace.0", chunk_rows=chunk_rows)),
         "stream_bundle": lambda d: stream_bundle(d, chunk_rows=chunk_rows),

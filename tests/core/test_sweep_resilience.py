@@ -145,13 +145,21 @@ def test_parallel_checkpoint_resume_matches_serial(tmp_path):
 
 
 def test_parallel_timeout_records_timed_out_failure():
+    """A timed-out job is reported and its worker terminated: the sweep
+    returns long before the job would finish, leaving no child alive."""
+    import multiprocessing
     import time
 
     jobs = {"slow": (10.0,), "fast": (0.0,)}
+    before = set(multiprocessing.active_children())
+    t0 = time.monotonic()
     results = sweep_map(time.sleep, jobs, parallel=True, max_workers=2,
                         timeout_s=0.5, raise_on_error=False)
+    assert time.monotonic() - t0 < 5.0
     assert isinstance(results["slow"], JobFailure)
     assert results["slow"].timed_out
+    assert results["fast"] is None
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_insertion_order_preserved_with_resume(tmp_path):

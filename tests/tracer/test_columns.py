@@ -3,6 +3,7 @@ errors."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -14,17 +15,16 @@ from repro.tracer.columns import (
     ALL_COLUMNS,
     MAGIC,
     TraceColumns,
-    _read_trace_columns_lines,
     read_trace_columns,
 )
 from repro.tracer.tracefile import (
     ABS_OFFSET_UNKNOWN,
     HEADER,
     TraceRecord,
-    read_trace_file,
     write_trace_file,
 )
 from tests.conftest import COLUMN_SOURCES, columns_from
+from tests.tracer.trace_reference import reference_columns
 
 
 def sample_records(n: int = 12) -> list[TraceRecord]:
@@ -40,10 +40,10 @@ def sample_records(n: int = 12) -> list[TraceRecord]:
 
 def parse_text(path, source, **kwargs) -> TraceColumns:
     """Parse a text trace with the parser that builds *source* columns:
-    the ingest engine (bulk numpy tokenizer) or the exact line-wise
-    reference parser (plain Python lists)."""
+    the ingest engine (bulk numpy tokenizer) or the record-by-record
+    reference parser of the tests (``from_records`` lists)."""
     if source == "python":
-        return _read_trace_columns_lines(path, **kwargs)
+        return reference_columns(path, **kwargs)
     return read_trace_columns(path, **kwargs)
 
 
@@ -69,11 +69,15 @@ class TestRoundTrips:
         assert cols.nfiles == len({r.file_id for r in records})
 
     @COLUMN_SOURCES
-    def test_text_parse_matches_read_trace_file(self, source, tmp_path):
+    def test_text_parse_round_trips_records(self, source, tmp_path):
         path = tmp_path / "trace.0"
         write_trace_file(path, sample_records())
         cols = parse_text(path, source)
-        assert cols.to_records() == read_trace_file(path)
+        # the text format keeps six fractional digits of time/duration
+        assert cols.to_records() == [
+            dataclasses.replace(r, time=float(f"{r.time:.6f}"),
+                                duration=float(f"{r.duration:.6f}"))
+            for r in sample_records()]
 
     @COLUMN_SOURCES
     def test_packed_trc_round_trip(self, source, tmp_path):

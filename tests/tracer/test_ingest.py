@@ -1,12 +1,13 @@
-"""The parallel ingest engine vs the classic line-wise parser.
+"""The ingest engine vs the record-by-record reference parser.
 
-Every layer of :mod:`repro.tracer.ingest` -- bulk tokenizer blocks,
-byte-range sharding, the persistent parse cache -- claims *bit-identical*
-output with ``_read_trace_columns_lines``: same columns, same op-table
+Every layer of :mod:`repro.tracer.ingest` -- bulk tokenizer blocks, the
+exact line parser, byte-range sharding, streaming, the persistent parse
+cache -- must give the output of the tests oracle
+(``tests/tracer/trace_reference.py``): same columns, same op-table
 interning order, same ``content_digest``, same strict errors
 (``path:lineno`` exact) and same quarantine reports.  These tests pin
-that contract, serial and parallel, on seed-shaped and adversarial
-traces.
+that contract, serial and parallel, on seed-shaped, adversarial and
+fuzzed traces.
 
 Parallel legs inject ``SerialExecutor`` so they exercise the shard
 protocol (bounds, prefix-summed line numbers, entry replay) without
@@ -15,15 +16,16 @@ spawning processes; one smoke test runs a real ``PoolExecutor``.
 
 from __future__ import annotations
 
-import os
+import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import store
 from repro.core.executors.base import SerialExecutor
-from repro.tracer.columns import TraceColumns, _read_trace_columns_lines
+from repro.tracer.columns import TraceColumns
+from repro.tracer.hooks import TraceBundle
 from repro.tracer.ingest import (
     CACHE_NAME,
     ENV_JOBS,
@@ -38,6 +40,11 @@ from repro.tracer.ingest import (
 )
 from repro.tracer.quarantine import QuarantineReport
 from repro.tracer.tracefile import HEADER
+from tests.tracer.trace_reference import (
+    assert_matches_reference,
+    assert_same,
+    reference_columns,
+)
 
 OPS = ["MPI_File_write_at", "MPI_File_read_at", "MPI_File_write_at_all",
        "MPI_File_read", "MPI_File_iwrite_at"]
@@ -61,35 +68,29 @@ def write_trace(tmp_path, text: str, name: str = "trace.0"):
     return p
 
 
-def assert_same(a: TraceColumns, b: TraceColumns):
-    assert len(a) == len(b)
-    assert a.op_table == b.op_table
-    assert a.content_digest() == b.content_digest()
-
-
 class TestSerialParity:
-    """Engine output == classic parser output, file by file."""
+    """Engine output == reference parser output, file by file."""
 
     def test_clean_trace_matches_classic(self, tmp_path):
         p = write_trace(tmp_path, trace_text(500))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_columns(p), reference_columns(p))
 
     def test_headerless_trace(self, tmp_path):
         p = write_trace(tmp_path, trace_text(50, header=False))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_columns(p), reference_columns(p))
 
     def test_crlf_and_no_trailing_newline(self, tmp_path):
         text = trace_text(40).replace("\n", "\r\n").rstrip("\r\n")
         p = write_trace(tmp_path, text)
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_columns(p), reference_columns(p))
 
     def test_empty_file(self, tmp_path):
         p = write_trace(tmp_path, "")
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_columns(p), reference_columns(p))
 
     def test_blank_leading_line_keeps_linenos(self, tmp_path):
         p = write_trace(tmp_path, "\n" + trace_text(10, header=False))
-        assert_same(ingest_columns(p), _read_trace_columns_lines(p))
+        assert_same(ingest_columns(p), reference_columns(p))
 
     def test_legacy_8_field_rows(self, tmp_path):
         rows = [r.rsplit(" ", 1)[0]
@@ -97,7 +98,7 @@ class TestSerialParity:
         p = write_trace(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
         et = {0: 8, 1: 4, 2: 16}
         assert_same(ingest_columns(p, etype_size=et),
-                    _read_trace_columns_lines(p, etype_size=et))
+                    reference_columns(p, etype_size=et))
 
     def test_strict_error_names_exact_line(self, tmp_path):
         lines = trace_text(30).splitlines()
@@ -106,7 +107,7 @@ class TestSerialParity:
         with pytest.raises(ValueError) as eng:
             ingest_columns(p)
         with pytest.raises(ValueError) as ref:
-            _read_trace_columns_lines(p)
+            reference_columns(p)
         assert str(eng.value) == str(ref.value)
         assert f"{p}:12:" in str(eng.value)
 
@@ -117,7 +118,7 @@ class TestSerialParity:
         p = write_trace(tmp_path, "\n".join(lines) + "\n")
         q_eng, q_ref = QuarantineReport(), QuarantineReport()
         assert_same(ingest_columns(p, quarantine=q_eng),
-                    _read_trace_columns_lines(p, quarantine=q_ref))
+                    reference_columns(p, quarantine=q_ref))
         assert q_eng.entries == q_ref.entries
 
 
@@ -138,7 +139,7 @@ class TestInt64Range:
     ], ids=["offset", "negative-abs-offset", "rank"])
     def test_strict_error_names_line(self, tmp_path, row):
         p = self._trace(tmp_path, 9, row)
-        for parse in (ingest_columns, _read_trace_columns_lines):
+        for parse in (ingest_columns, reference_columns):
             with pytest.raises(ValueError, match=rf"{p}:9: .*int64"):
                 parse(p)
 
@@ -148,7 +149,7 @@ class TestInt64Range:
             f"2 1 MPI_File_write_at {self.BIG} 5 4096 0.100000 0.001000 0")
         q_eng, q_ref = QuarantineReport(), QuarantineReport()
         got = ingest_columns(p, quarantine=q_eng)
-        assert_same(got, _read_trace_columns_lines(p, quarantine=q_ref))
+        assert_same(got, reference_columns(p, quarantine=q_ref))
         assert len(got) == 29  # 30 rows, one of them out of range
         assert [(e.lineno, e.rank) for e in q_eng.entries] == [(9, 2)]
         assert "int64" in q_eng.entries[0].reason
@@ -199,7 +200,7 @@ class TestShardedParity:
         with pytest.raises(ValueError) as eng:
             ingest_columns(p, jobs=4, executor=SerialExecutor())
         with pytest.raises(ValueError) as ref:
-            _read_trace_columns_lines(p)
+            reference_columns(p)
         assert str(eng.value) == str(ref.value)
 
     def test_small_file_never_shards(self, tmp_path):
@@ -210,7 +211,7 @@ class TestShardedParity:
 
         p = write_trace(tmp_path, trace_text(100))
         assert_same(ingest_columns(p, jobs=8, executor=Exploding()),
-                    _read_trace_columns_lines(p))
+                    reference_columns(p))
 
     def test_executor_failure_falls_back_to_serial(self, tmp_path):
         class Broken:
@@ -219,14 +220,14 @@ class TestShardedParity:
 
         p = self.big_trace(tmp_path)
         assert_same(ingest_columns(p, jobs=4, executor=Broken()),
-                    _read_trace_columns_lines(p))
+                    reference_columns(p))
 
     def test_real_pool_smoke(self, tmp_path):
         from repro.core.executors.pool import PoolExecutor
 
         p = self.big_trace(tmp_path)
         par = ingest_columns(p, jobs=2, executor=PoolExecutor(max_workers=2))
-        assert_same(par, _read_trace_columns_lines(p))
+        assert_same(par, reference_columns(p))
 
 
 class TestRankFiles:
@@ -265,14 +266,14 @@ class TestStreamingChunks:
         chunks = list(iter_ingest_chunks(p, chunk_rows=777))
         assert all(len(c) <= 777 for c in chunks)
         assert_same(TraceColumns.concat(chunks),
-                    _read_trace_columns_lines(p))
+                    reference_columns(p))
 
     def test_chunks_respect_jobs_materialization(self, tmp_path):
         p = write_trace(tmp_path, trace_text(3_000))
         with ingest_jobs(1):
             chunks = list(iter_ingest_chunks(p, chunk_rows=512, jobs=1))
         assert_same(TraceColumns.concat(chunks),
-                    _read_trace_columns_lines(p))
+                    reference_columns(p))
 
 
 class TestParseCache:
@@ -292,7 +293,7 @@ class TestParseCache:
         assert store.active().stats()["ingest"]["entries"] == 1
         warm = ingest_columns(p)
         assert_same(warm, cold)
-        assert_same(warm, _read_trace_columns_lines(p))
+        assert_same(warm, reference_columns(p))
 
     def test_content_change_invalidates(self, tmp_path):
         p = write_trace(tmp_path, trace_text(2_000))
@@ -300,7 +301,7 @@ class TestParseCache:
         p.write_text(trace_text(2_000, seed=5))
         again = ingest_columns(p)
         assert store.active().stats()["ingest"]["entries"] == 2
-        assert_same(again, _read_trace_columns_lines(p))
+        assert_same(again, reference_columns(p))
 
     def test_etype_size_keys_separately(self, tmp_path):
         rows = [r.rsplit(" ", 1)[0]
@@ -419,6 +420,126 @@ class TestHypothesisParity:
         p = write_trace(tmp, text)
         q_eng, q_ref = QuarantineReport(), QuarantineReport()
         eng = ingest_columns(p, quarantine=q_eng, cache=False)
-        ref = _read_trace_columns_lines(p, quarantine=q_ref)
+        ref = reference_columns(p, quarantine=q_ref)
         assert_same(eng, ref)
         assert q_eng.entries == q_ref.entries
+
+
+# -- damaged bytes ------------------------------------------------------------
+
+def _small_shards(mp):
+    """Shard and block a few-KB file (the defaults need megabytes)."""
+    from repro.tracer import ingest
+
+    mp.setattr(ingest, "MIN_SHARD_BYTES", 256)
+    mp.setattr(ingest, "BLOCK_BYTES", 512)
+
+
+def _sharded(p, quarantine=None, **kw):
+    return ingest_columns(p, quarantine=quarantine, jobs=3,
+                          executor=SerialExecutor(), **kw)
+
+
+def _streamed(p, quarantine=None, **kw):
+    return TraceColumns.concat(list(iter_ingest_chunks(
+        p, quarantine=quarantine, chunk_rows=7, **kw)))
+
+
+class TestNonUtf8:
+    """One undecodable byte is one bad line, never a raw
+    ``UnicodeDecodeError``: strict mode names ``path:lineno``, salvage
+    mode keeps every other row, on every text entry point."""
+
+    BAD = b"1 0 MPI_File_write_at 0 3 4096 0.500000 0.001000 \xff0"
+
+    @pytest.fixture
+    def bundle(self, tmp_path, monkeypatch):
+        """A 2-rank text bundle; trace.1 has one bad byte on line 3."""
+        from repro.tracer.metadata import AppMetadata
+
+        _small_shards(monkeypatch)
+        d = tmp_path / "bundle"
+        d.mkdir()
+        (d / "metadata.json").write_text(json.dumps(
+            {"nprocs": 2, "metadata": AppMetadata().to_dict()}))
+        write_trace(d, trace_text(60, seed=0), name="trace.0")
+        lines = trace_text(60, seed=1).encode().splitlines()
+        lines[2] = self.BAD
+        (d / "trace.1").write_bytes(b"\n".join(lines) + b"\n")
+        return d
+
+    LOADS = {
+        "serial": ingest_columns,
+        "sharded": _sharded,
+        "streamed": _streamed,
+        "bundle-jobs1": lambda p, quarantine=None: TraceBundle.load(
+            p.parent, quarantine=quarantine, jobs=1).columns,
+        "bundle-jobs2": lambda p, quarantine=None: TraceBundle.load(
+            p.parent, quarantine=quarantine, jobs=2).columns,
+    }
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_strict_error_names_path_and_line(self, bundle, load):
+        p = bundle / "trace.1"
+        with pytest.raises(ValueError) as exc:
+            self.LOADS[load](p)
+        assert str(exc.value).startswith(
+            f"{p}:3: trace line is not valid UTF-8: ")
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_salvage_quarantines_one_line(self, bundle, load):
+        p = bundle / "trace.1"
+        q_ref = QuarantineReport()
+        ref = reference_columns(p, quarantine=q_ref)
+        q = QuarantineReport()
+        got = self.LOADS[load](p, quarantine=q)
+        if load.startswith("bundle"):
+            ref = TraceColumns.concat([reference_columns(p.parent / "trace.0"),
+                                       ref])
+        assert_same(got, ref)
+        assert [(e.lineno, e.rank, e.reason) for e in q.entries] == \
+            [(3, 1, "trace line is not valid UTF-8")]
+        assert q.entries == q_ref.entries
+        assert len(got) == (60 + 59 if load.startswith("bundle") else 59)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply ``(kind, position, value)`` edits to a trace's bytes."""
+    for kind, pos, value in edits:
+        if not data:
+            break
+        pos %= len(data)
+        if kind == "truncate":  # cut the file, usually mid-line
+            data = data[:pos]
+        elif kind == "flip":  # overwrite one byte
+            data = data[:pos] + bytes([value]) + data[pos + 1:]
+        else:  # replace one field of one row with an out-of-range int
+            lines = data.split(b"\n")
+            row = lines[pos % len(lines)].split(b" ")
+            row[value % len(row)] = str(
+                [1 << 63, -(1 << 63) - 1, 10 ** 20][value % 3]).encode()
+            lines[pos % len(lines)] = b" ".join(row)
+            data = b"\n".join(lines)
+    return data
+
+
+edit_strategy = st.tuples(st.sampled_from(["truncate", "flip", "bigint"]),
+                          st.integers(0, 1 << 20), st.integers(0, 255))
+
+
+class TestFuzz:
+    """Damaged valid traces: truncation, byte flips, oversized ints."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(nrows=st.integers(1, 80), header=st.booleans(),
+           edits=st.lists(edit_strategy, min_size=1, max_size=4))
+    @example(nrows=10, header=True, edits=[("flip", 200, 0xE9)])
+    def test_damaged_trace_matches_reference(self, tmp_path_factory, nrows,
+                                             header, edits):
+        p = tmp_path_factory.mktemp("fuzz") / "trace.0"
+        p.write_bytes(_mutate(trace_text(nrows, header=header).encode(),
+                              edits))
+        with pytest.MonkeyPatch.context() as mp:
+            _small_shards(mp)
+            for parse in (ingest_columns, _sharded, _streamed):
+                assert_matches_reference(parse, p)

@@ -16,12 +16,8 @@ from repro.tracer.quarantine import (
     QuarantineReport,
     guess_rank,
 )
-from repro.tracer.tracefile import (
-    HEADER,
-    TraceRecord,
-    read_trace_file,
-    write_trace_file,
-)
+from repro.tracer.tracefile import HEADER, TraceRecord, write_trace_file
+from tests.tracer.trace_reference import reference_records
 
 
 def rec(rank=0, tick=1, op="mpi_file_write_at", off=0):
@@ -51,22 +47,22 @@ def _write_interleaved(path, records, garbage):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_read_trace_file_salvages_around_garbage(tmp_path):
+def test_records_view_salvages_around_garbage(tmp_path):
     p = tmp_path / "trace.0"
     records = [rec(tick=i) for i in range(5)]
     _write_interleaved(p, records, GARBAGE_LINES)
     q = QuarantineReport()
-    got = read_trace_file(p, quarantine=q)
+    got = read_trace_columns(p, quarantine=q).to_records()
     assert got == records
     assert len(q) == len(GARBAGE_LINES)
     assert all(e.source == str(p) for e in q.entries)
 
 
-def test_read_trace_file_without_quarantine_still_raises(tmp_path):
+def test_read_trace_columns_without_quarantine_still_raises(tmp_path):
     p = tmp_path / "trace.0"
     _write_interleaved(p, [rec()], ["junk line"])
     with pytest.raises(ValueError, match="trace.0:3"):
-        read_trace_file(p)
+        read_trace_columns(p)
 
 
 def test_read_trace_columns_salvages_and_keeps_alignment(tmp_path):
@@ -83,7 +79,7 @@ def test_quarantine_attributes_rank_when_parseable(tmp_path):
     p = tmp_path / "trace.0"
     p.write_text(HEADER + "\n" + "7 not a valid row\n")
     q = QuarantineReport()
-    read_trace_file(p, quarantine=q)
+    read_trace_columns(p, quarantine=q)
     assert q.entries[0].rank == 7
     assert guess_rank("junk") == RANK_UNKNOWN
 
@@ -93,7 +89,7 @@ def test_strict_report_raises_like_no_quarantine(tmp_path):
     _write_interleaved(p, [rec()], ["junk"])
     q = QuarantineReport(strict=True)
     with pytest.raises(ValueError):
-        read_trace_file(p, quarantine=q)
+        read_trace_columns(p, quarantine=q)
 
 
 def test_report_summary_and_by_rank(tmp_path):
@@ -208,7 +204,7 @@ def test_roundtrip_salvages_every_well_formed_record(tmp_path_factory,
     p.write_text(HEADER + "\n" + "\n".join(lines) + "\n")
 
     q = QuarantineReport()
-    got = read_trace_file(p, quarantine=q)
+    got = read_trace_columns(p, quarantine=q).to_records()
     # Garbage that happens to parse as a valid row is salvage, not loss:
     # every original record must be present as a subsequence, in order.
     it = iter(got)
@@ -216,8 +212,7 @@ def test_roundtrip_salvages_every_well_formed_record(tmp_path_factory,
     # and nothing was silently dropped: salvaged + quarantined = lines
     assert len(got) + len(q) == len(lines)
 
-    # the columnar reader agrees with the record reader
+    # the engine agrees with the record-by-record reference parser
     q2 = QuarantineReport()
-    cols = read_trace_columns(p, quarantine=q2)
-    assert cols.to_records() == got
-    assert len(q2) == len(q)
+    assert reference_records(p, quarantine=q2) == got
+    assert q2.entries == q.entries
