@@ -47,6 +47,7 @@ from repro.core.signatures import classify_model
 from repro.core.synthesis import replay_model
 from repro.report.tables import configuration_table, phases_table, usage_table
 from repro.tracer.hooks import TraceBundle
+from repro.tracer.ingest import default_jobs
 
 
 def _app_for(name: str, np: int):
@@ -90,29 +91,6 @@ def _jobs_type(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _resolve_cli_jobs(args: argparse.Namespace) -> int:
-    """Effective ingest fan-out for a CLI command.
-
-    Precedence: ``--jobs`` flag, then a validated ``REPRO_INGEST_JOBS``
-    environment variable, then the cpu-count default (capped) -- the
-    CLI parallelizes by default; library calls stay serial unless
-    asked.
-    """
-    import os
-
-    from repro.tracer.ingest import ENV_JOBS, default_jobs, parse_jobs
-
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    env = os.environ.get(ENV_JOBS)
-    if env is not None and env.strip():
-        try:
-            return parse_jobs(env, what=ENV_JOBS)
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    return default_jobs()
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     program, params = _app_for(args.app, args.np)
     model, bundle = characterize_app(program, args.np, params, app_name=args.app)
@@ -125,32 +103,38 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message: str):
+    """Report a bad input file as a usage error: argparse's message
+    format and exit status 2, not a traceback."""
+    print(f"repro-io: error: {message}", file=sys.stderr)
+    raise SystemExit(2) from None
+
+
 def cmd_model(args: argparse.Namespace) -> int:
-    jobs = _resolve_cli_jobs(args)
-    if args.stream:
-        if args.quarantine:
-            raise SystemExit("--stream cannot salvage corrupt traces; "
-                             "drop --quarantine or use the batch loader")
-        from repro.core.pipeline import characterize_stream
-        model = characterize_stream(args.traces, app_name=args.name,
-                                    jobs=jobs)
-        if args.out:
-            model.save(args.out)
-        print(model.describe())
-        print()
-        print(phases_table(model))
-        return 0
+    if args.stream and args.quarantine:
+        raise SystemExit("--stream cannot salvage corrupt traces; "
+                         "drop --quarantine or use the batch loader")
     quarantine = None
     if args.quarantine:
         from repro.tracer.quarantine import QuarantineReport
         quarantine = QuarantineReport()
-    bundle = TraceBundle.load(args.traces, quarantine=quarantine, jobs=jobs)
-    if quarantine:
-        print(quarantine.summary())
-        print()
-    if bundle.nevents == 0:
-        raise SystemExit(f"no salvageable I/O events in {args.traces}")
-    model = IOModel.from_trace(bundle, app_name=args.name)
+    try:
+        if args.stream:
+            from repro.core.pipeline import characterize_stream
+            model = characterize_stream(args.traces, app_name=args.name,
+                                        jobs=args.jobs)
+        else:
+            bundle = TraceBundle.load(args.traces, quarantine=quarantine,
+                                      jobs=args.jobs)
+    except (OSError, ValueError) as exc:
+        _usage_error(f"cannot read traces {args.traces}: {exc}")
+    if not args.stream:
+        if quarantine:
+            print(quarantine.summary())
+            print()
+        if bundle.nevents == 0:
+            raise SystemExit(f"no salvageable I/O events in {args.traces}")
+        model = IOModel.from_trace(bundle, app_name=args.name)
     if args.out:
         model.save(args.out)
     print(model.describe())
@@ -165,9 +149,7 @@ def _load_model(path: str) -> IOModel:
     try:
         return IOModel.load(path)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"repro-io: error: cannot read model {path}: {exc}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(f"cannot read model {path}: {exc}")
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -196,16 +178,19 @@ def cmd_usage(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    from repro.core.executors import get_executor
+
     model = _load_model(args.model)
     factories = {name: _factory_for(name) for name in args.configs.split(",")}
-    executor = args.executor
-    if executor == "cluster" and args.workers:
-        from repro.core.executors import ClusterExecutor
-
-        executor = ClusterExecutor(workers=args.workers)
+    endpoints = ({"workers": args.workers}
+                 if args.executor == "cluster" and args.workers else {})
+    try:
+        executor = get_executor(args.executor, **endpoints,
+                                checkpoint_dir=args.checkpoint_dir,
+                                resume=args.resume)
+    except ValueError as exc:  # --resume without --checkpoint-dir
+        raise SystemExit(str(exc)) from None
     choice = select_configuration(model.phases, factories,
-                                  checkpoint_dir=args.checkpoint_dir,
-                                  resume=args.resume,
                                   lattice=args.lattice,
                                   executor=executor)
     print(f"estimated total I/O time of {model.app_name} (eq. 1):")
@@ -277,10 +262,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     program, params = _app_for(args.app, args.np)
     factory = _factory_for(args.config)
-    jobs = _resolve_cli_jobs(args)
     with ProfileSession() as prof:
         model, _ = characterize_app(program, args.np, params,
-                                    app_name=args.app, jobs=jobs)
+                                    app_name=args.app)
         est = estimate_on(model, factory, config_name=args.config)
         measure, mmodel = measure_on(program, args.np, params,
                                      cluster_factory=factory,
@@ -434,18 +418,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the study service daemon until drained (SIGTERM or drain op)."""
     from repro.service import ServiceConfig, serve_forever
 
-    from repro.tracer.ingest import ingest_jobs
-
     host, port = _parse_hostport(args.listen)
     config = ServiceConfig(
         journal_dir=args.journal, host=host, port=port,
         workers=args.workers, queue_cap=args.queue_cap,
         executor=args.executor, cache_dir=args.cache_dir,
         retry_after_s=args.retry_after, metrics=args.metrics)
-    # Daemon-wide ingest default; per-request ``jobs`` QoS fields nest
-    # inside (the runner re-enters ingest_jobs with the spec's value).
-    with ingest_jobs(_resolve_cli_jobs(args)):
-        return serve_forever(config)
+    return serve_forever(config)
 
 
 def _print_batch_rows(rows: list[dict]) -> None:
@@ -478,8 +457,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             spec["configs"] = args.configs.split(",")
         if args.deadline is not None:
             spec["deadline_s"] = args.deadline
-        if args.jobs is not None:
-            spec["jobs"] = args.jobs
         specs = [spec]
 
     resp = client.submit_batch(specs)
@@ -592,9 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "traces and print a per-rank report of what was "
                         "dropped")
     p.add_argument("--jobs", type=_jobs_type, metavar="N",
+                   default=default_jobs(),
                    help="parallel ingest fan-out: shard the trace files "
-                        "across N worker processes (>= 1; default: "
-                        "$REPRO_INGEST_JOBS or the cpu count, capped at 8)")
+                        "across N worker processes (>= 1; default: the "
+                        "cpu count, capped at 8)")
     p.add_argument("--stream", action="store_true",
                    help="fold the trace incrementally (O(open-bursts) "
                         "memory) instead of loading it whole; the model "
@@ -629,8 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "vectorized pass (eqs. 1-4 as array kernels) "
                         "instead of per-config IOR replays")
     p.add_argument("--executor", choices=("serial", "pool", "cluster"),
+                   default="serial",
                    help="sweep backend for the unique replays "
-                        "(default: serial, or $REPRO_EXECUTOR)")
+                        "(default: serial)")
     p.add_argument("--workers",
                    help="cluster worker endpoints host:port,host:port "
                         "(with --executor cluster; default "
@@ -669,9 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="directory for events.jsonl, trace.chrome.json, "
                         "metrics.prom")
-    p.add_argument("--jobs", type=_jobs_type, metavar="N",
-                   help="parallel trace-ingest fan-out (>= 1; default: "
-                        "$REPRO_INGEST_JOBS or the cpu count, capped at 8)")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -736,9 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable repro.obs so the 'metrics' op serves "
                         "Prometheus text (service_* counters, queue gauge)")
     p.add_argument("--jobs", type=_jobs_type, metavar="N",
-                   help="daemon-wide trace-ingest fan-out; per-request "
-                        "'jobs' QoS fields override it (>= 1; default: "
-                        "$REPRO_INGEST_JOBS or the cpu count, capped at 8)")
+                   help="accepted (>= 1) for compatibility; has no effect: "
+                        "no request the daemon runs parses trace files")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("submit",
@@ -754,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, metavar="SECONDS",
                    help="per-request deadline, propagated into the study's "
                         "RetryPolicy timeout")
-    p.add_argument("--jobs", type=_jobs_type, metavar="N",
-                   help="per-request trace-ingest fan-out QoS field "
-                        "(outside the spec digest, like --deadline)")
     p.add_argument("--batch-file",
                    help="JSON file with a list of request specs (or "
                         "{\"requests\": [...]}) instead of --app/--configs")

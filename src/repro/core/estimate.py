@@ -264,13 +264,6 @@ class ConfigurationChoice:
 
 def select_configuration(phases: Sequence[Phase],
                          factories: dict[str, ClusterFactory],
-                         parallel: bool = False,
-                         max_workers: int | None = None,
-                         retry=None,
-                         timeout_s: float | None = None,
-                         raise_on_error: bool = True,
-                         checkpoint_dir=None,
-                         resume: bool = False,
                          lattice=False,
                          executor=None) -> ConfigurationChoice:
     """Estimate the model on every configuration; pick the fastest.
@@ -282,17 +275,17 @@ def select_configuration(phases: Sequence[Phase],
     into one batched plan (:mod:`repro.core.planner`) first, so only
     unique (phase signature, configuration fingerprint) pairs are
     executed -- identical phases share one IOR replication within *and*
-    across configurations.  ``parallel=True`` sweeps those unique
-    replays concurrently in worker processes (factories must be
-    picklable; unpicklable sweeps fall back to the serial path);
-    ``executor="cluster"`` (or ``REPRO_EXECUTOR=cluster``) fans them
-    out to socket workers instead (:mod:`repro.core.executors`) with
+    across configurations.  ``executor`` (an
+    :class:`~repro.core.executors.Executor`; default serial) fans those
+    unique replays out -- to worker processes with a ``PoolExecutor``
+    (factories must be picklable; unpicklable sweeps fall back to the
+    serial path), to socket workers with a ``ClusterExecutor`` -- with
     bit-identical rankings.
 
-    The resilience knobs mirror :func:`repro.core.sweep.sweep_map` and
-    apply per unique replay: ``retry`` absorbs transient faults;
-    ``timeout_s`` bounds parallel jobs; ``raise_on_error=False``
-    records configurations depending on a failed replay as ``inf`` in
+    The executor's policy (see :mod:`repro.core.sweep`) applies per
+    unique replay: ``retry`` absorbs transient faults; ``timeout_s``
+    bounds parallel jobs; ``raise_on_error=False`` records
+    configurations depending on a failed replay as ``inf`` in
     ``total_times`` (they can never win the selection but the study
     survives); ``checkpoint_dir`` + ``resume`` make an interrupted
     selection resumable (job names are deterministic).
@@ -317,10 +310,7 @@ def select_configuration(phases: Sequence[Phase],
         return evaluate_lattice(phases, params).choice
 
     plan = build_replay_plan(tuple(phases), factories)
-    reports = plan.execute(
-        parallel=parallel, max_workers=max_workers,
-        retry=retry, timeout_s=timeout_s, raise_on_error=raise_on_error,
-        checkpoint_dir=checkpoint_dir, resume=resume, executor=executor)
+    reports = plan.execute(executor=executor)
     totals = {name: (report.total_time_ch
                      if not isinstance(report, JobFailure)
                      else float("inf"))

@@ -2,27 +2,28 @@
 
 Every configuration sweep in the repo funnels through
 :func:`repro.core.sweep.sweep_map`, which delegates the actual running
-of jobs to an *executor*:
+of jobs to an *executor* object:
 
 =========  ==================================================================
 serial     in-process, one job at a time (the always-works baseline)
 pool       ``concurrent.futures.ProcessPoolExecutor`` -- one machine,
-           many cores, shared-memory trace hand-off
+           many cores; jobs and their arguments travel as pickles
 cluster    socket master/worker -- as many machines as you have
-           (see :mod:`.cluster` and :mod:`.worker`)
+           (see :mod:`.cluster` and :mod:`.worker`); trace columns
+           travel as ``.trc`` blobs (:mod:`.wire`)
 =========  ==================================================================
 
-Selection precedence (:func:`resolve_executor`): an explicit
-``executor=`` argument (name or :class:`~.base.Executor` instance)
-beats the ``REPRO_EXECUTOR`` environment variable, which beats the
-legacy ``parallel`` flag (``True`` -> pool, ``False`` -> serial).  All
-three backends are conforming: same jobs in, bit-identical result
-dicts out, verified by ``tests/core/test_executors.py``.
+The executor instance is the only way to choose a sweep's fan-out and
+policy: its class picks the backend, and its fields carry the worker
+count, retry, timeout, error policy and checkpoint/resume (see
+:class:`~.base.Executor`).  Code that starts from a backend *name*
+(the CLI, the service's breaker tiers) builds the instance with
+:func:`get_executor`.  All three backends are conforming: same jobs
+in, bit-identical result dicts out, verified by
+``tests/core/test_executors.py``.
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import Executor, JobFailure, SerialExecutor, SweepJobError
 from .cluster import ClusterExecutor
@@ -30,11 +31,8 @@ from .pool import PoolExecutor
 
 __all__ = [
     "Executor", "SerialExecutor", "PoolExecutor", "ClusterExecutor",
-    "JobFailure", "SweepJobError",
-    "EXECUTORS", "EXECUTOR_ENV", "get_executor", "resolve_executor",
+    "JobFailure", "SweepJobError", "EXECUTORS", "get_executor",
 ]
-
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 
 EXECUTORS = {
     "serial": SerialExecutor,
@@ -43,24 +41,14 @@ EXECUTORS = {
 }
 
 
-def get_executor(name: str) -> Executor:
-    """Instantiate a backend by name (raises on unknown names)."""
+def get_executor(name: str, **policy) -> Executor:
+    """Instantiate a backend by name; ``policy`` holds the
+    :class:`~.base.Executor` keywords (plus any backend-specific ones,
+    e.g. the cluster's ``workers``).  Raises on unknown names."""
     try:
-        return EXECUTORS[name]()
+        cls = EXECUTORS[name]
     except KeyError:
         raise ValueError(
             f"unknown executor {name!r}; choose from "
             f"{sorted(EXECUTORS)}") from None
-
-
-def resolve_executor(executor: str | Executor | None,
-                     parallel: bool) -> Executor:
-    """Apply the arg > ``REPRO_EXECUTOR`` env > ``parallel`` precedence."""
-    if isinstance(executor, Executor):
-        return executor
-    if executor is not None:
-        return get_executor(executor)
-    env = os.environ.get(EXECUTOR_ENV)
-    if env:
-        return get_executor(env)
-    return PoolExecutor() if parallel else SerialExecutor()
+    return cls(**policy)

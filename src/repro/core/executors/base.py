@@ -1,10 +1,14 @@
 """Executor interface shared by every sweep backend.
 
-An executor turns ``{name: args}`` jobs into ``(name, failure, result)``
-triples, in whatever order the backend completes them --
-:func:`repro.core.sweep.sweep_map` owns everything backend-independent
-(checkpoints, resume, chaos hooks, error policy, final ordering), so a
-backend only has to run jobs and report outcomes:
+An executor object is the one place a sweep's fan-out and policy are
+chosen: the backend (its class), the worker count, retry, timeout,
+error policy and checkpoint/resume (its fields).  It turns
+``{name: args}`` jobs into ``(name, failure, result)`` triples, in
+whatever order the backend completes them --
+:func:`repro.core.sweep.sweep_map` applies the backend-independent
+part of the policy (checkpoints, resume, chaos hooks, error policy,
+final ordering), so a backend only has to run jobs and report
+outcomes:
 
 * ``failure is None``  -- the job produced ``result``;
 * ``failure`` is a :class:`JobFailure` -- the job raised (or timed out,
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro import obs
@@ -71,39 +76,64 @@ def run_job(fn: Callable, args: tuple, retry: RetryPolicy | None,
     """Worker-side body: one job, optionally under a retry policy.
 
     ``store_root`` re-attaches the parent's persistent result store in
-    spawned workers (forked ones inherit it); shared-memory trace
-    handles in ``args`` are materialized back into columns here.
+    spawned workers (forked ones inherit it).
     """
     if store_root is not None:
         from repro import store as _result_store
 
         if _result_store.active() is None:
             _result_store.attach(store_root)
-    args = _attach_shared_args(args)
     if retry is None:
         return fn(*args)
     return retry_call(fn, *args, policy=retry)
 
 
-def _attach_shared_args(args: tuple) -> tuple:
-    """Swap shared-memory trace handles back for real columns."""
-    from repro.tracer.shm import SharedColumns, attach_columns
-
-    if not any(isinstance(a, SharedColumns) for a in args):
-        return args
-    return tuple(attach_columns(a) if isinstance(a, SharedColumns) else a
-                 for a in args)
-
-
 class Executor:
-    """Base class for sweep backends (see the module docstring)."""
+    """Base class for sweep backends (see the module docstring).
+
+    An executor carries the whole sweep policy, so a sweep entry point
+    takes one ``executor=`` argument and nothing else:
+
+    * ``retry`` -- a :class:`~repro.faults.resilience.RetryPolicy` run
+      around each job in whichever process runs it (the cluster backend
+      also reads ``max_attempts`` as its requeue budget);
+    * ``timeout_s`` -- per-job wall-clock bound, timed from dispatch on
+      the pool and cluster backends (advisory on the serial one);
+    * ``raise_on_error`` -- raise :class:`SweepJobError` on the first
+      failed job (default) or keep a falsy :class:`JobFailure` in its
+      slot of the result dict;
+    * ``checkpoint_dir`` / ``resume`` -- persist each completed job's
+      result and load those instead of re-running.
+    """
 
     name = "?"
 
-    def run(self, fn: Callable, jobs: Mapping[str, tuple], *,
-            retry: RetryPolicy | None = None,
-            timeout_s: float | None = None,
-            max_workers: int | None = None,
+    def __init__(self, *, retry: RetryPolicy | None = None,
+                 timeout_s: float | None = None,
+                 raise_on_error: bool = True,
+                 checkpoint_dir: str | Path | None = None,
+                 resume: bool = False):
+        if resume and checkpoint_dir is None:
+            raise ValueError("resume=True needs a checkpoint_dir")
+        self.retry = retry
+        self.timeout_s = timeout_s
+        self.raise_on_error = raise_on_error
+        self.checkpoint_dir = checkpoint_dir
+        self.resume = resume
+
+    def policy(self) -> dict[str, Any]:
+        """The policy fields, as constructor keywords."""
+        return {"retry": self.retry, "timeout_s": self.timeout_s,
+                "raise_on_error": self.raise_on_error,
+                "checkpoint_dir": self.checkpoint_dir,
+                "resume": self.resume}
+
+    def serial(self) -> "SerialExecutor":
+        """An in-process executor under this executor's policy (the
+        fallback for sweeps that cannot or need not fan out)."""
+        return SerialExecutor(**self.policy())
+
+    def run(self, fn: Callable, jobs: Mapping[str, tuple]
             ) -> Iterator[tuple[str, JobFailure | None, Any]]:
         raise NotImplementedError
 
@@ -114,10 +144,10 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, fn, jobs, *, retry=None, timeout_s=None, max_workers=None):
+    def run(self, fn, jobs):
         for name, args in jobs.items():
             try:
-                result = run_job(fn, args, retry)
+                result = run_job(fn, args, self.retry)
             except Exception as exc:
                 yield name, job_failure(name, exc), None
             else:

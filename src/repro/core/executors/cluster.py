@@ -18,15 +18,18 @@ insertion order at the end).
 
 Fault model:
 
-* **worker death** (connection drop) or **heartbeat silence** longer
-  than ``heartbeat_timeout_s``: the in-flight job is requeued to the
-  remaining workers.  The requeue budget rides on PR 4's
+* **worker death** (connection drop), **heartbeat silence** longer
+  than ``heartbeat_timeout_s``, or a **damaged frame** (a RESULT that
+  fails to decode raises :class:`~.wire.WireError`): the worker is
+  dropped and its in-flight job is requeued to the remaining workers.
+  The requeue budget rides on the executor's
   :class:`~repro.faults.resilience.RetryPolicy` -- ``retry.max_attempts``
   placements per job (default 3) -- after which the job reports a
   :class:`~repro.core.executors.base.JobFailure`.
-* **job timeout** (``timeout_s``): the job is *not* requeued -- it
-  mirrors the pool backend's semantics (a timed-out ``JobFailure``)
-  and the stuck worker's connection is closed.
+* **job timeout** (``timeout_s``, timed from dispatch): the job is
+  *not* requeued -- it mirrors the pool backend's semantics (a
+  timed-out ``JobFailure``) and the stuck worker's connection is
+  closed.
 * **job exception**: the worker ships ``{name, error, traceback}`` as
   a JSON FAIL frame (post-retry-policy); no requeue, same as serial.
 * **all workers gone**: the master finishes the remaining jobs
@@ -57,7 +60,7 @@ from repro import obs
 from repro.faults.resilience import RetryPolicy
 
 from . import wire
-from .base import Executor, JobFailure, SerialExecutor, job_failure
+from .base import Executor, JobFailure, job_failure
 
 __all__ = ["ClusterExecutor", "WORKERS_ENV", "parse_endpoints"]
 
@@ -102,7 +105,8 @@ class ClusterExecutor(Executor):
     def __init__(self, workers: list[tuple[str, int]] | str | None = None,
                  spawn: int | None = None, store_mode: str = "auto",
                  heartbeat_timeout_s: float = 5.0,
-                 connect_timeout_s: float = 10.0):
+                 connect_timeout_s: float = 10.0, **policy):
+        super().__init__(**policy)
         if isinstance(workers, str):
             workers = parse_endpoints(workers)
         self.workers = workers
@@ -191,9 +195,8 @@ class ClusterExecutor(Executor):
         return sock
 
     # -- the sweep -------------------------------------------------------------
-    def run(self, fn, jobs: Mapping[str, tuple], *,
-            retry: RetryPolicy | None = None,
-            timeout_s: float | None = None, max_workers: int | None = None):
+    def run(self, fn, jobs: Mapping[str, tuple]):
+        retry, timeout_s = self.retry, self.timeout_s
         # Encode every payload up front: one encode per job, reused for
         # requeues; anything unpicklable degrades to the serial backend
         # exactly like the pool path.
@@ -203,13 +206,10 @@ class ClusterExecutor(Executor):
                                     wire.encode_payload((fn, args, retry)))
                 for name, args in jobs.items()}
         except Exception:
-            yield from SerialExecutor().run(fn, jobs, retry=retry,
-                                            timeout_s=timeout_s)
+            yield from self.serial().run(fn, jobs)
             return
 
         endpoints, do_spawn = self._endpoints(len(jobs))
-        if max_workers:
-            endpoints = endpoints[:max_workers]
         procs: list = []
         if do_spawn:
             procs, endpoints = self._spawn_workers(len(endpoints))
@@ -291,8 +291,8 @@ class ClusterExecutor(Executor):
                                   remaining=total - len(done))
                     leftovers = {name: jobs[name] for name in jobs
                                  if name not in done}
-                    for name, failure, result in SerialExecutor().run(
-                            fn, leftovers, retry=retry, timeout_s=timeout_s):
+                    for name, failure, result in self.serial().run(
+                            fn, leftovers):
                         done.add(name)
                         yield name, failure, result
                     return
@@ -338,8 +338,13 @@ class ClusterExecutor(Executor):
                     if obs.ACTIVE:
                         obs.inc("cluster_bytes_recv_total", amount=len(data))
                     worker.buffer.feed(data)
-                    for outcome in self._consume(worker, done):
-                        yield outcome
+                    try:
+                        for outcome in self._consume(worker, done):
+                            yield outcome
+                    except (wire.WireError, ConnectionError) as exc:
+                        failure = bury(worker, f"sent a damaged frame ({exc})")
+                        if failure is not None:
+                            yield failure.name, failure, None
         finally:
             for worker in alive.values():
                 try:

@@ -1,17 +1,16 @@
 """Process-pool sweep backend (one machine, many cores).
 
-This is the historical ``sweep_map(parallel=True)`` path moved behind
-the executor interface, with the picklability probe fixed: the old code
-``pickle.dumps``-ed the *entire* job table once just to decide
-pool-vs-serial and threw the bytes away.  Now the job head ``(fn,
-retry)`` and each job's arguments are pickled exactly once, and those
-same blobs are what the pool dispatches -- workers unpickle them in
-:func:`_run_blob_job`.  Anything unpicklable still degrades to the
-serial backend, so ``parallel=True`` remains always safe to pass.
+The job head ``(fn, retry)`` and each job's arguments are pickled
+exactly once, and those same blobs are what the pool dispatches --
+workers unpickle them in :func:`_run_blob_job`.  Anything unpicklable
+degrades to the serial backend under the same policy, so a
+:class:`PoolExecutor` is always safe to pass.  TraceColumns arguments
+pickle like any other value.
 
-TraceColumns arguments are published to shared memory first
-(:mod:`repro.tracer.shm`) so the blobs carry tiny handles, not the
-trace.
+At most ``max_workers`` jobs are in flight at once, and each job's
+``timeout_s`` runs from its own submission: a timed-out job is
+reported at once, and its worker is terminated when the sweep ends
+(or earlier, when every worker is held by a timed-out job).
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import pickle
-from typing import Any, Mapping
+import time
+from collections import deque
+from typing import Any
 
-from repro.faults.resilience import RetryPolicy
-
-from .base import Executor, SerialExecutor, job_failure, run_job
+from .base import Executor, job_failure, run_job
 
 __all__ = ["PoolExecutor"]
 
@@ -36,72 +35,24 @@ def _run_blob_job(head_blob: bytes, args_blob: bytes,
     return run_job(fn, args, retry, store_root)
 
 
-def _share_trace_args(jobs: Mapping[str, tuple]) -> tuple[dict, list]:
-    """Swap TraceColumns arguments for shared-memory handles.
-
-    Each distinct columns object is published once
-    (:mod:`repro.tracer.shm`); every job referencing it gets the same
-    tiny handle, so a parallel characterization sweep ships the trace
-    to workers without pickling it per process.  Returns the original
-    mapping untouched (and no handles) when nothing is substitutable.
-    """
-    from repro.tracer import shm as _shm
-    from repro.tracer.columns import TraceColumns
-
-    shared: dict[int, Any] = {}
-    handles: list[Any] = []
-    out: dict[str, tuple] = {}
-    changed = False
-    for name, args in jobs.items():
-        new_args = []
-        for a in args:
-            if isinstance(a, TraceColumns):
-                handle = shared.get(id(a))
-                if handle is None:
-                    handle = shared[id(a)] = _shm.share_columns(a)
-                    handles.append(handle)
-                new_args.append(handle)
-                changed = True
-            else:
-                new_args.append(a)
-        out[name] = tuple(new_args)
-    if not changed:
-        return dict(jobs), []
-    return out, handles
-
-
-def _release_shared(handles: list) -> None:
-    if not handles:
-        return
-    from repro.tracer import shm as _shm
-
-    for handle in handles:
-        _shm.release(handle)
-
-
 class PoolExecutor(Executor):
     """ProcessPoolExecutor fan-out with serial fallback."""
 
     name = "pool"
 
-    def __init__(self, max_workers: int | None = None):
+    def __init__(self, max_workers: int | None = None, **policy):
+        super().__init__(**policy)
         self.max_workers = max_workers
 
-    def run(self, fn, jobs, *, retry: RetryPolicy | None = None,
-            timeout_s: float | None = None, max_workers: int | None = None):
-        # Publish any TraceColumns argument to shared memory first: the
-        # pickle pass then serializes the cheap handles, not the trace.
-        substituted, handles = _share_trace_args(jobs)
+    def run(self, fn, jobs):
         try:
-            head_blob = pickle.dumps((fn, retry),
+            head_blob = pickle.dumps((fn, self.retry),
                                      protocol=pickle.HIGHEST_PROTOCOL)
-            arg_blobs = {name: pickle.dumps(args,
-                                            protocol=pickle.HIGHEST_PROTOCOL)
-                         for name, args in substituted.items()}
+            pending = deque(
+                (name, pickle.dumps(args, protocol=pickle.HIGHEST_PROTOCOL))
+                for name, args in jobs.items())
         except Exception:
-            _release_shared(handles)
-            yield from SerialExecutor().run(fn, jobs, retry=retry,
-                                            timeout_s=timeout_s)
+            yield from self.serial().run(fn, jobs)
             return
 
         from repro import store as _result_store
@@ -109,30 +60,58 @@ class PoolExecutor(Executor):
         active = _result_store.active()
         store_root = (str(active.root)
                       if active is not None and active.persistent else None)
-        workers = (max_workers or self.max_workers
-                   or min(len(jobs), os.cpu_count() or 1))
+        workers = self.max_workers or min(len(jobs), os.cpu_count() or 1)
+        timeout_s = self.timeout_s
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-        timed_out = False
+        live: dict[concurrent.futures.Future, tuple[str, float]] = {}
+        stuck: set[concurrent.futures.Future] = set()  # timed out, running
         try:
-            futures = {name: pool.submit(_run_blob_job, head_blob, blob,
-                                         store_root)
-                       for name, blob in arg_blobs.items()}
-            for name, fut in futures.items():
-                try:
-                    result = fut.result(timeout=timeout_s)
-                except concurrent.futures.TimeoutError as exc:
-                    timed_out = True
-                    yield name, job_failure(name, exc, timed_out=True), None
-                except Exception as exc:
-                    yield name, job_failure(name, exc), None
-                else:
-                    yield name, None, result
+            while pending or live:
+                stuck = {fut for fut in stuck if not fut.done()}
+                if pending and not live and len(stuck) >= workers:
+                    # Every worker holds a timed-out job: start afresh.
+                    _terminate(pool)
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=workers)
+                    stuck = set()
+                while pending and len(live) + len(stuck) < workers:
+                    name, blob = pending.popleft()
+                    fut = pool.submit(_run_blob_job, head_blob, blob,
+                                      store_root)
+                    live[fut] = (name, time.monotonic())
+                wait_s = None
+                if timeout_s is not None:
+                    first = min(t0 for _, t0 in live.values())
+                    wait_s = max(0.0, first + timeout_s - time.monotonic())
+                done, _ = concurrent.futures.wait(
+                    live, timeout=wait_s,
+                    return_when=concurrent.futures.FIRST_COMPLETED)
+                for fut in done:
+                    name, _ = live.pop(fut)
+                    try:
+                        result = fut.result()
+                    except Exception as exc:
+                        yield name, job_failure(name, exc), None
+                    else:
+                        yield name, None, result
+                if timeout_s is None:
+                    continue
+                now = time.monotonic()
+                for fut, (name, t0) in list(live.items()):
+                    if now - t0 >= timeout_s:
+                        del live[fut]
+                        stuck.add(fut)
+                        yield name, job_failure(
+                            name, TimeoutError(
+                                f"job exceeded timeout_s={timeout_s}"),
+                            timed_out=True,
+                            tb="(no traceback: timed out in a pool "
+                               "worker)"), None
         finally:
-            if timed_out:
+            if stuck or live:
                 _terminate(pool)
             else:
                 pool.shutdown(wait=True)
-            _release_shared(handles)
 
 
 def _terminate(pool) -> None:

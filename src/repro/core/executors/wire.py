@@ -36,8 +36,10 @@ format the tracer writes to disk).  The container is::
     ...  pickle stream (persistent ids reference blob indices)
 
 so trace data crosses the wire as typed column blobs, not pickles --
-the receiving side rebuilds columns with ``TraceColumns.from_bytes``,
-which rejects a malformed blob with ``ValueError``.
+the receiving side rebuilds columns with ``TraceColumns.from_bytes``.
+A payload that does not decode -- truncated, bit-flipped, a count or
+length past its end, a malformed column blob -- raises
+:class:`WireError`, never a raw ``struct``/``pickle`` error.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from repro.store.keys import SCHEMA_VERSION
 from repro.tracer.columns import TraceColumns
 
 __all__ = [
-    "PROTOCOL_VERSION", "HELLO", "WELCOME", "JOB", "RESULT", "FAIL",
+    "WireError", "PROTOCOL_VERSION", "HELLO", "WELCOME", "JOB", "RESULT", "FAIL",
     "HEARTBEAT", "RELEASE", "DRAIN", "ERR",
     "encode_payload", "decode_payload", "pack_job", "unpack_job",
     "pack_frame", "FrameBuffer",
@@ -83,6 +85,10 @@ MAX_FRAME = 1 << 30
 
 
 # -- payload codec -------------------------------------------------------------
+
+class WireError(ValueError):
+    """A payload that does not decode (damaged or not a payload)."""
+
 
 class _ColumnsPickler(pickle.Pickler):
     """Externalizes TraceColumns into .trc blobs (deduped per payload)."""
@@ -128,15 +134,28 @@ def encode_payload(obj: Any) -> bytes:
 
 
 def decode_payload(data: bytes) -> Any:
+    """Inverse of :func:`encode_payload`; :class:`WireError` on damage."""
+    if len(data) < _U32.size:
+        raise WireError(f"payload too short: {len(data)} bytes")
     (nblobs,) = _U32.unpack_from(data, 0)
     offset = _U32.size
+    if nblobs > (len(data) - offset) // _U64.size:
+        raise WireError(f"payload claims {nblobs} column blobs")
     blobs: list[bytes] = []
     for _ in range(nblobs):
+        if offset + _U64.size > len(data):
+            raise WireError("payload truncated in its blob table")
         (n,) = _U64.unpack_from(data, offset)
         offset += _U64.size
+        if n > len(data) - offset:
+            raise WireError(f"column blob of {n} bytes overruns the payload")
         blobs.append(data[offset:offset + n])
         offset += n
-    return _ColumnsUnpickler(io.BytesIO(data[offset:]), blobs).load()
+    try:
+        return _ColumnsUnpickler(io.BytesIO(data[offset:]), blobs).load()
+    except Exception as exc:
+        # Unpickling damaged bytes can raise nearly any exception type.
+        raise WireError(f"payload does not unpickle: {exc!r}") from exc
 
 
 def pack_job(name: str, payload: bytes) -> bytes:

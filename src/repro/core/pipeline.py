@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import obs
-from repro.faults.resilience import RetryPolicy
 from repro.simmpi.engine import IdealPlatform
 from repro.tracer.hooks import TraceBundle, trace_run
 
@@ -35,9 +34,10 @@ from .estimate import (
     relative_error,
     system_usage,
 )
+from .executors import Executor
 from .model import IOModel
 from .planner import build_replay_plan
-from .sweep import SweepJobError, sweep_map
+from .sweep import SweepJobError
 
 MB = 1024 * 1024
 
@@ -71,8 +71,7 @@ def _trace_key(stage: str, fp, program: Callable, nprocs: int, args: tuple,
 
 def characterize_app(program: Callable, nprocs: int, *args,
                      app_name: str = "app", tick_tol: int = 16,
-                     platform=None,
-                     jobs: int | None = None) -> tuple[IOModel, TraceBundle]:
+                     platform=None) -> tuple[IOModel, TraceBundle]:
     """Stage 1: trace the application off-line and extract its I/O model.
 
     The platform defaults to :class:`IdealPlatform` -- the model must not
@@ -83,16 +82,9 @@ def characterize_app(program: Callable, nprocs: int, *args,
     With a persistent store attached (:mod:`repro.store`) the traced
     run and extracted model are memoized, so re-characterizing the same
     application warm-starts from disk.
-
-    ``jobs`` scopes an ingest fan-out (:func:`repro.tracer.ingest
-    .ingest_jobs`) over the characterization: the in-process tracer
-    itself never parses text, but any trace-file ingest the program or
-    a nested load triggers inherits it.  The model is unaffected.
     """
-    from repro.tracer.ingest import ingest_jobs
-
     with obs.span("pipeline.characterize", cat="pipeline", app=app_name,
-                  np=nprocs) as sp, ingest_jobs(jobs):
+                  np=nprocs) as sp:
         plat = platform or IdealPlatform()
         key = _trace_key("characterize", simcache.platform_fingerprint(plat),
                          program, nprocs, args, app_name, tick_tol)
@@ -149,43 +141,6 @@ def characterize_stream(directory, app_name: str = "app",
                                     gap=gap)
         sp.annotate(nphases=model.nphases)
     return model
-
-
-def _characterize_bundle_job(columns, metadata, nprocs: int, app_name: str,
-                             tick_tol: int, gap: int) -> IOModel:
-    """Worker-side body of one bundle's model extraction."""
-    return IOModel.from_columns(columns, metadata, nprocs, app_name=app_name,
-                                tick_tol=tick_tol, gap=gap)
-
-
-def characterize_bundles(bundles: dict[str, TraceBundle], *,
-                         tick_tol: int = 16, gap: int = 1,
-                         parallel: bool = False,
-                         max_workers: int | None = None,
-                         raise_on_error: bool = True,
-                         retry: RetryPolicy | None = None,
-                         timeout_s: float | None = None,
-                         checkpoint_dir: str | None = None,
-                         resume: bool = False,
-                         executor=None) -> dict[str, IOModel]:
-    """Extract models from many trace bundles in one sweep.
-
-    With ``parallel=True`` the bundles' column arrays are published to
-    POSIX shared memory (:mod:`repro.tracer.shm`) and each worker
-    attaches zero-copy instead of unpickling its own copy of the trace
-    -- the dominant serialization cost of a multi-trace
-    characterization sweep.  Serial and unpicklable sweeps behave
-    exactly like calling :func:`build_model` per bundle.  The
-    resilience knobs mirror :func:`repro.core.sweep.sweep_map`.
-    """
-    jobs = {name: (bundle.columns, bundle.metadata, bundle.nprocs,
-                   name, tick_tol, gap)
-            for name, bundle in bundles.items()}
-    return sweep_map(_characterize_bundle_job, jobs,
-                     parallel=parallel, max_workers=max_workers,
-                     raise_on_error=raise_on_error, retry=retry,
-                     timeout_s=timeout_s, checkpoint_dir=checkpoint_dir,
-                     resume=resume, executor=executor)
 
 
 def estimate_on(model: IOModel, cluster_factory: ClusterFactory,
@@ -325,14 +280,7 @@ def full_study(program: Callable, nprocs: int, *args,
                app_name: str = "app",
                measure_configs: Sequence[str] = (),
                tick_tol: int = 16,
-               parallel: bool = False,
-               max_workers: int | None = None,
-               retry: RetryPolicy | None = None,
-               timeout_s: float | None = None,
-               raise_on_error: bool = True,
-               checkpoint_dir: str | None = None,
-               resume: bool = False,
-               executor=None) -> dict:
+               executor: Executor | None = None) -> dict:
     """The complete methodology for one application.
 
     Characterize once; estimate on every configuration; optionally
@@ -343,15 +291,14 @@ def full_study(program: Callable, nprocs: int, *args,
     (:mod:`repro.core.planner`): the replay requests of all
     configurations are deduplicated up front, so only unique
     (phase signature, configuration fingerprint) pairs are executed.
-    ``parallel=True`` sweeps those unique replays concurrently in
-    worker processes (factories must be picklable, i.e. module-level;
-    unpicklable sweeps fall back to the serial path).
-    ``executor="cluster"`` (or ``REPRO_EXECUTOR=cluster``) fans the
-    unique replays out to socket workers instead -- see
-    :mod:`repro.core.executors`; results are bit-identical whichever
-    backend runs them.
+    ``executor`` (default: serial) fans those unique replays out and
+    carries the sweep policy -- e.g. ``PoolExecutor(max_workers=4)``
+    for worker processes (factories must be picklable, i.e.
+    module-level; unpicklable sweeps fall back to the serial path) or a
+    :class:`~repro.core.executors.ClusterExecutor` for socket workers;
+    results are bit-identical whichever backend runs them.
 
-    Resilience (see :mod:`repro.core.sweep`), applied per unique
+    The policy (see :mod:`repro.core.sweep`) applies per unique
     replay: ``retry`` re-runs it on transient faults with bounded
     backoff; ``timeout_s`` bounds each parallel job;
     ``raise_on_error=False`` keeps going past failures (every dependent
@@ -365,12 +312,7 @@ def full_study(program: Callable, nprocs: int, *args,
         model, bundle = characterize_app(program, nprocs, *args,
                                          app_name=app_name, tick_tol=tick_tol)
         plan = build_replay_plan(model.phases, cluster_factories)
-        estimates = plan.execute(
-            parallel=parallel, max_workers=max_workers,
-            retry=retry, timeout_s=timeout_s,
-            raise_on_error=raise_on_error,
-            checkpoint_dir=checkpoint_dir, resume=resume,
-            executor=executor)
+        estimates = plan.execute(executor=executor)
         if obs.ACTIVE:
             for name, report in estimates.items():
                 if not report:  # JobFailure

@@ -88,24 +88,19 @@ class ReplayPlan:
     def unique(self) -> int:
         return len(self.jobs)
 
-    def execute(self, parallel: bool = False,
-                max_workers: int | None = None, *,
+    def execute(self, *,
                 runner: Callable[[Phase, ClusterFactory], PhaseEstimate]
                 | None = None,
-                raise_on_error: bool = True,
-                retry=None,
-                timeout_s: float | None = None,
-                checkpoint_dir=None,
-                resume: bool = False,
                 executor=None) -> dict[str, EstimateReport | JobFailure]:
         """Run the unique jobs and fan results back out per configuration.
 
         Returns ``{config_name: EstimateReport}`` bit-identical to
-        calling ``estimate_model`` per configuration.  With
+        calling ``estimate_model`` per configuration.  ``executor``
+        (default serial) runs the unique jobs and carries their policy,
+        which is per unique job, not per configuration.  Under
         ``raise_on_error=False`` a failed job fails every configuration
         that depends on it (a falsy :class:`JobFailure` in the dict),
-        and the remaining configurations survive.  The resilience knobs
-        are per unique job, not per configuration.
+        and the remaining configurations survive.
         """
         if obs.ACTIVE:
             obs.inc("replay_plan_requests_total", amount=self.requests)
@@ -114,9 +109,7 @@ class ReplayPlan:
         results = sweep_map(
             fn, {name: (job.phase, job.factory)
                  for name, job in self.jobs.items()},
-            parallel=parallel, max_workers=max_workers,
-            raise_on_error=raise_on_error, retry=retry, timeout_s=timeout_s,
-            checkpoint_dir=checkpoint_dir, resume=resume, executor=executor)
+            executor=executor)
         return self.fan_out(results)
 
     def fan_out(self, results: dict[str, Any]

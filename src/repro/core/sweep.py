@@ -3,20 +3,20 @@
 The estimation stage is embarrassingly parallel across configurations:
 each ``estimate_on``/``estimate_model`` call is a pure CPU-bound
 function of (model, cluster factory) with no shared state.
-:func:`sweep_map` fans those calls out over a pluggable *executor*
-backend (:mod:`repro.core.executors`):
+:func:`sweep_map` fans those calls out through one *executor* object
+(:mod:`repro.core.executors`), which is the only thing a caller
+chooses:
 
-* ``serial`` -- in-process, one job at a time;
-* ``pool`` -- a ``ProcessPoolExecutor`` on this machine (what
-  ``parallel=True`` selects);
-* ``cluster`` -- socket master/worker across machines
-  (``executor="cluster"`` or ``REPRO_EXECUTOR=cluster``).
+* ``SerialExecutor()`` -- in-process, one job at a time (the default);
+* ``PoolExecutor(max_workers=N)`` -- a ``ProcessPoolExecutor`` on
+  this machine;
+* ``ClusterExecutor(...)`` -- socket master/worker across machines.
 
 All three are conforming: same jobs, bit-identical result dicts.  The
 backend only runs jobs; everything below is backend-independent and
 lives here.
 
-Resilience features (all opt-in, all composable):
+Resilience features (all opt-in fields of the executor, composable):
 
 * **error policy** -- a failing job is captured with its id and full
   traceback.  ``raise_on_error=True`` (the default) raises a
@@ -29,10 +29,11 @@ Resilience features (all opt-in, all composable):
   exponential backoff, inside whichever process runs the job.  The
   cluster backend additionally reads ``max_attempts`` as its requeue
   budget for jobs stranded by worker deaths.
-* **timeout** -- ``timeout_s`` bounds each job's wall-clock time on
-  the pool and cluster backends (the job is recorded as a timed-out
-  :class:`JobFailure`); the serial path treats it as advisory (a
-  cooperative single process cannot interrupt itself safely).
+* **timeout** -- ``timeout_s`` bounds each job's wall-clock time from
+  its dispatch on the pool and cluster backends (the job is recorded
+  as a timed-out :class:`JobFailure`); the serial path treats it as
+  advisory (a cooperative single process cannot interrupt itself
+  safely).
 * **checkpointing** -- with ``checkpoint_dir`` every completed job's
   result is pickled to ``<dir>/<job>.ckpt`` via an atomic
   write-temp-then-rename, and ``resume=True`` loads those instead of
@@ -43,9 +44,9 @@ Requirements and fallbacks:
 
 * pool/cluster jobs (the function and every argument) must be
   picklable -- cluster factories defined at module level qualify, test
-  lambdas do not.  A sweep whose jobs cannot be serialized degrades to
-  the serial path (with checkpoint/retry/error handling intact), so
-  ``parallel=True`` is always safe to pass;
+  lambdas do not.  A sweep whose jobs cannot be serialized, or that
+  has at most one job to run, runs on the serial path under the same
+  policy (checkpoint, retry and error handling intact);
 * memo caches (:mod:`repro.core.cache`) live per process: workers
   start cold (or warm from the shared :mod:`repro.store`) and their
   in-memory insertions are not merged back;
@@ -56,6 +57,7 @@ Requirements and fallbacks:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -64,15 +66,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro import obs
-from repro.faults.resilience import RetryPolicy
 from repro.ioutil import atomic_write_bytes
 
-from .executors import Executor, SerialExecutor, resolve_executor
+from .executors import Executor, SerialExecutor
 from .executors.base import (  # re-exported: historical home of these
     JobFailure,
     SweepJobError,
-    job_failure as _failure,
-    run_job as _run_job,
 )
 
 __all__ = [
@@ -143,51 +142,42 @@ def _resolve(name: str, failure: JobFailure | None, result: Any,
     return failure
 
 
-def sweep_map(fn: Callable, jobs: Mapping[str, tuple], parallel: bool = False,
-              max_workers: int | None = None, *,
-              raise_on_error: bool = True,
-              retry: RetryPolicy | None = None,
-              timeout_s: float | None = None,
-              checkpoint_dir: str | Path | None = None,
-              resume: bool = False,
-              executor: str | Executor | None = None) -> dict[str, Any]:
+def sweep_map(fn: Callable, jobs: Mapping[str, tuple], *,
+              executor: Executor | None = None) -> dict[str, Any]:
     """Apply ``fn(*args)`` to every ``{name: args}`` job; dict of results.
 
     Results preserve the jobs' insertion order regardless of which
-    backend ran them or in what order they completed.  The backend is
-    chosen by ``executor`` (a name or an
-    :class:`~repro.core.executors.base.Executor` instance), falling
-    back to the ``REPRO_EXECUTOR`` environment variable and then to
-    the ``parallel`` flag; a zero-or-one-job sweep always runs
-    serially.  See the module docstring for the resilience knobs; with
+    backend ran them or in what order they completed.  ``executor``
+    (default: a plain :class:`SerialExecutor`) chooses the backend and
+    carries the whole policy -- see the module docstring; a
+    zero-or-one-job sweep always runs serially under that policy.  With
     ``raise_on_error=False`` failed jobs appear as (falsy)
     :class:`JobFailure` values in the returned dict.
     """
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True needs a checkpoint_dir")
-    ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    backend = executor if executor is not None else SerialExecutor()
+    ckpt = (Path(backend.checkpoint_dir)
+            if backend.checkpoint_dir is not None else None)
     done: dict[str, Any] = {}
     if ckpt is not None:
         ckpt.mkdir(parents=True, exist_ok=True)
-        if resume:
+        if backend.resume:
             done = _load_checkpoints(ckpt, jobs)
             if obs.ACTIVE and done:
                 obs.inc("sweep_jobs_resumed_total", amount=len(done))
     todo = {name: args for name, args in jobs.items() if name not in done}
     chaos = _ChaosKiller() if ckpt is not None else None
 
-    backend = resolve_executor(executor, parallel)
     if len(todo) <= 1 and not isinstance(backend, SerialExecutor):
-        backend = SerialExecutor()  # fan-out cost without fan-out benefit
+        backend = backend.serial()  # fan-out cost without fan-out benefit
 
     fresh: dict[str, Any] = {}
-    for name, failure, result in backend.run(fn, todo, retry=retry,
-                                             timeout_s=timeout_s,
-                                             max_workers=max_workers):
-        if failure is None and ckpt is not None:
-            _store_checkpoint(ckpt, name, result)
-            chaos.note_checkpoint()
-        fresh[name] = _resolve(name, failure, result, raise_on_error)
+    with contextlib.closing(backend.run(fn, todo)) as outcomes:
+        for name, failure, result in outcomes:
+            if failure is None and ckpt is not None:
+                _store_checkpoint(ckpt, name, result)
+                chaos.note_checkpoint()
+            fresh[name] = _resolve(name, failure, result,
+                                   backend.raise_on_error)
 
     # Insertion order of `jobs`, resumed results included.
     return {name: done[name] if name in done else fresh[name]

@@ -545,10 +545,9 @@ class StudyService:
             time.sleep(self.config.slow_s)
         last_exc: BaseException | None = None
         for tier in self._breaker.plan():
-            executor = None if tier == "serial" else tier
             try:
                 result = run_request(
-                    req.spec, executor=executor, retry=self.config.retry,
+                    req.spec, tier=tier, retry=self.config.retry,
                     checkpoint_dir=self._ckpt_root / req.digest)
             except (BadRequest, SweepJobError) as exc:
                 # The request itself is broken; no tier will save it.

@@ -11,9 +11,9 @@ backends, and -- the property the chaos CI leg asserts -- across a
 ``kill -9`` + journal recovery.
 
 Deadlines: ``deadline_s`` becomes the per-job wall-clock budget of the
-study's :class:`~repro.faults.resilience.RetryPolicy` (and the sweep's
-``timeout_s``), so a request cannot pin a worker past the time its
-client was willing to wait.
+study's :class:`~repro.faults.resilience.RetryPolicy` (and the
+executor's ``timeout_s``), so a request cannot pin a worker past the
+time its client was willing to wait.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _retry_for(retry: RetryPolicy | None, deadline_s: float | None):
     """Fold the request deadline into the retry policy's timeout.
 
     The tighter of (existing policy timeout, request deadline) wins;
-    the effective timeout is also returned for the sweep layer, which
+    the effective timeout is also returned for the executor, which
     enforces it on parallel backends.
     """
     timeout = deadline_s
@@ -59,69 +59,65 @@ def _retry_for(retry: RetryPolicy | None, deadline_s: float | None):
     return policy, timeout
 
 
-def run_request(spec: dict, *, executor=None,
+def run_request(spec: dict, *, tier: str = "serial",
                 retry: RetryPolicy | None = None,
                 checkpoint_dir: str | Path | None = None) -> dict:
     """Run one normalized spec; returns its plain-JSON result.
 
-    ``executor`` is a backend name or instance (see
-    :mod:`repro.core.executors`); ``checkpoint_dir`` makes the study's
+    ``tier`` names the executor backend (``serial``, ``pool`` or
+    ``cluster``; see :mod:`repro.core.executors`), which is built here
+    under the request's policy; ``checkpoint_dir`` makes the study's
     unique replays individually durable, so a re-run after a crash
     resumes from the last completed replay instead of from scratch.
     """
     from repro.core.estimate import select_configuration
+    from repro.core.executors import get_executor
     from repro.core.pipeline import characterize_app, full_study
-    from repro.tracer.ingest import ingest_jobs
 
     kind = spec["kind"]
     program, params = resolve_app(spec["app"], spec["np"])
     policy, timeout_s = _retry_for(retry, spec.get("deadline_s"))
-    ckpt = str(checkpoint_dir) if checkpoint_dir is not None else None
-    resume = ckpt is not None
+    executor = get_executor(tier, retry=policy, timeout_s=timeout_s,
+                            checkpoint_dir=checkpoint_dir,
+                            resume=checkpoint_dir is not None)
 
-    # ``jobs`` is a QoS field: it widens the trace-ingest fan-out for
-    # everything this request executes without entering the digest.
-    with ingest_jobs(spec.get("jobs")):
-        if kind == "characterize":
-            model, bundle = characterize_app(program, spec["np"], params,
-                                             app_name=spec["app"])
-            result = {
-                "kind": kind, "app": spec["app"], "np": spec["np"],
-                "nphases": model.nphases, "nevents": bundle.nevents,
-                "phases": [
-                    {"phase_id": ph.phase_id, "op": ph.op_label,
-                     "np": ph.np, "rep": ph.rep, "weight": ph.weight}
-                    for ph in model.phases],
-            }
-        elif kind == "select":
-            model, _ = characterize_app(program, spec["np"], params,
-                                        app_name=spec["app"])
-            factories = resolve_factories(spec["configs"])
-            choice = select_configuration(
-                model.phases, factories, retry=policy, timeout_s=timeout_s,
-                checkpoint_dir=ckpt, resume=resume,
-                lattice=spec.get("lattice", False), executor=executor)
-            result = {
-                "kind": kind, "app": spec["app"], "np": spec["np"],
-                "best": choice.best,
-                "totals": {name: t
-                           for name, t in sorted(choice.total_times.items())},
-            }
-        elif kind == "full_study":
-            factories = resolve_factories(spec["configs"])
-            study = full_study(program, spec["np"], params,
-                               cluster_factories=factories,
-                               app_name=spec["app"], retry=policy,
-                               timeout_s=timeout_s, checkpoint_dir=ckpt,
-                               resume=resume, executor=executor)
-            result = {
-                "kind": kind, "app": spec["app"], "np": spec["np"],
-                "best": study["selection"]["best"],
-                "totals": {name: t for name, t
-                           in sorted(study["selection"]["totals"].items())},
-                "nphases": study["model"].nphases,
-            }
-        else:  # normalize() guarantees this cannot happen on journaled specs
-            raise ValueError(f"unknown request kind {kind!r}")
+    if kind == "characterize":
+        model, bundle = characterize_app(program, spec["np"], params,
+                                         app_name=spec["app"])
+        result = {
+            "kind": kind, "app": spec["app"], "np": spec["np"],
+            "nphases": model.nphases, "nevents": bundle.nevents,
+            "phases": [
+                {"phase_id": ph.phase_id, "op": ph.op_label,
+                 "np": ph.np, "rep": ph.rep, "weight": ph.weight}
+                for ph in model.phases],
+        }
+    elif kind == "select":
+        model, _ = characterize_app(program, spec["np"], params,
+                                    app_name=spec["app"])
+        factories = resolve_factories(spec["configs"])
+        choice = select_configuration(
+            model.phases, factories,
+            lattice=spec.get("lattice", False), executor=executor)
+        result = {
+            "kind": kind, "app": spec["app"], "np": spec["np"],
+            "best": choice.best,
+            "totals": {name: t
+                       for name, t in sorted(choice.total_times.items())},
+        }
+    elif kind == "full_study":
+        factories = resolve_factories(spec["configs"])
+        study = full_study(program, spec["np"], params,
+                           cluster_factories=factories,
+                           app_name=spec["app"], executor=executor)
+        result = {
+            "kind": kind, "app": spec["app"], "np": spec["np"],
+            "best": study["selection"]["best"],
+            "totals": {name: t for name, t
+                       in sorted(study["selection"]["totals"].items())},
+            "nphases": study["model"].nphases,
+        }
+    else:  # normalize() guarantees this cannot happen on journaled specs
+        raise ValueError(f"unknown request kind {kind!r}")
     result["output_digest"] = result_digest(result)
     return result

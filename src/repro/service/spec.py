@@ -6,10 +6,11 @@ dicts, not classes.  ``normalize`` canonicalizes a spec (defaults
 filled in, fields ordered) and ``spec_digest`` content-addresses the
 *result-determining* fields: two requests that would compute the same
 answer share one digest, one execution and one result, whatever batch
-they arrived in.  QoS fields (``deadline_s``, ``jobs``) are
-deliberately outside the digest -- a tighter deadline or a wider
-ingest pool does not change the answer, only how long we are willing
-to wait for it.
+they arrived in.  The QoS field ``deadline_s`` is deliberately
+outside the digest -- a tighter deadline does not change the answer,
+only how long we are willing to wait for it.  Unknown fields are
+dropped by ``normalize`` (a ``jobs`` field from older clients
+included), so they never reach the digest either.
 """
 
 from __future__ import annotations
@@ -131,20 +132,10 @@ def normalize(spec: dict) -> dict:
         if deadline <= 0:
             raise BadRequest(f"deadline_s must be positive, got {deadline}")
         out["deadline_s"] = deadline
-
-    jobs = spec.get("jobs")
-    if jobs is not None:
-        from repro.tracer.ingest import parse_jobs
-
-        try:
-            jobs = parse_jobs(jobs, what="jobs")
-        except ValueError as exc:
-            raise BadRequest(str(exc)) from None
-        out["jobs"] = jobs
     return out
 
 
 def spec_digest(spec: dict) -> str:
     """Content address of a normalized spec's result-determining fields."""
-    keyed = {k: v for k, v in spec.items() if k not in ("deadline_s", "jobs")}
+    keyed = {k: v for k, v in spec.items() if k != "deadline_s"}
     return hashlib.sha256(canonical_json(keyed).encode("utf-8")).hexdigest()

@@ -426,9 +426,9 @@ def read_trace_columns(path: str | Path, *,
     around them is salvaged, and column alignment is preserved (a row is
     appended only after *all* its fields parsed).
 
-    ``jobs`` / ``cache`` tune the engine (``None`` = resolve from the
-    ``REPRO_INGEST_JOBS`` env var / store attachment); see
-    :mod:`repro.tracer.ingest`.
+    ``jobs`` / ``cache`` tune the engine (``jobs=None`` parses
+    serially; ``cache=None`` uses the parse cache when a persistent
+    store is attached); see :mod:`repro.tracer.ingest`.
     """
     from .ingest import ingest_columns
 

@@ -20,11 +20,11 @@ parsers, and every text entry point (``read_trace_columns``,
 
 Two layers sit on top:
 
-* **Sharded parallel parse** (``jobs`` > 1, or the
-  ``REPRO_INGEST_JOBS`` env var, or an :func:`ingest_jobs` override):
+* **Sharded parallel parse** (an explicit ``jobs`` > 1; the library
+  default is 1, the ``repro-io model`` default :func:`default_jobs`):
   one file splits into byte-range shards cut at line boundaries and
-  fans out through the executors layer; per-rank bundle files fan out
-  whole.  Workers always parse in salvage mode into a local report
+  fans out through a ``PoolExecutor`` of ``min(jobs, shards)``
+  workers; per-rank bundle files fan out whole.  Workers always parse in salvage mode into a local report
   with shard-relative line numbers; the master prefix-sums the shard
   line counts and replays the entries in ``(path, lineno)`` order --
   so quarantine reports are byte-identical to a serial ingest, and in
@@ -75,13 +75,9 @@ from .quarantine import QuarantineReport, guess_rank
 from .tracefile import ABS_OFFSET_UNKNOWN, HEADER
 
 __all__ = [
-    "ENV_JOBS", "DEFAULT_JOBS_CAP", "parse_jobs", "resolve_jobs",
-    "default_jobs", "ingest_jobs", "ingest_columns", "iter_ingest_chunks",
-    "ingest_rank_files",
+    "DEFAULT_JOBS_CAP", "parse_jobs", "resolve_jobs", "default_jobs",
+    "ingest_columns", "iter_ingest_chunks", "ingest_rank_files",
 ]
-
-#: Environment override for the default shard fan-out.
-ENV_JOBS = "REPRO_INGEST_JOBS"
 
 #: CLI default: one job per CPU, capped (beyond ~8 shards the parse is
 #: I/O-bound and extra workers only cost pickling).
@@ -123,41 +119,10 @@ def default_jobs() -> int:
     return min(os.cpu_count() or 1, DEFAULT_JOBS_CAP)
 
 
-_jobs_override: int | None = None
-
-
-@contextlib.contextmanager
-def ingest_jobs(jobs: int | None):
-    """Scoped jobs override -- the service's per-request QoS hook.
-
-    ``with ingest_jobs(4): ...`` makes every ingest inside the block
-    that did not pass an explicit ``jobs`` run with 4 shards.  ``None``
-    leaves resolution untouched (nesting restores the outer value).
-    """
-    global _jobs_override
-    if jobs is not None:
-        jobs = parse_jobs(jobs, what="jobs")
-    prev = _jobs_override
-    if jobs is not None:
-        _jobs_override = jobs
-    try:
-        yield
-    finally:
-        _jobs_override = prev
-
-
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Effective jobs count: explicit > :func:`ingest_jobs` scope >
-    ``REPRO_INGEST_JOBS`` > 1 (the library default -- only the CLI
-    defaults to :func:`default_jobs`)."""
-    if jobs is not None:
-        return parse_jobs(jobs, what="jobs")
-    if _jobs_override is not None:
-        return _jobs_override
-    env = os.environ.get(ENV_JOBS)
-    if env is not None and env.strip():
-        return parse_jobs(env, what=ENV_JOBS)
-    return 1
+    """Effective jobs count: a validated explicit value, else 1 (the
+    library default -- only the CLI defaults to :func:`default_jobs`)."""
+    return 1 if jobs is None else parse_jobs(jobs, what="jobs")
 
 
 # -- block plumbing -----------------------------------------------------------
@@ -549,11 +514,11 @@ def _run_shards(fn, jobs_map, njobs: int, executor):
         executor = PoolExecutor(max_workers=min(njobs, len(jobs_map)))
     results = {}
     try:
-        for name, failure, res in executor.run(fn, jobs_map,
-                                               max_workers=njobs):
-            if failure is not None:
-                return None
-            results[name] = res
+        with contextlib.closing(executor.run(fn, jobs_map)) as outcomes:
+            for name, failure, res in outcomes:
+                if failure is not None:
+                    return None
+                results[name] = res
     except Exception:
         return None
     if len(results) != len(jobs_map):

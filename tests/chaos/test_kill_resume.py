@@ -22,6 +22,7 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 SCRIPT = """
 import json, sys
 from pathlib import Path
+from repro.core.executors import SerialExecutor
 from repro.core.sweep import sweep_map
 
 def job(i):
@@ -32,7 +33,8 @@ def job(i):
 
 out, ckpt, resume = sys.argv[1], sys.argv[2], sys.argv[3] == "resume"
 jobs = {f"cfg{i}": (i,) for i in range(6)}
-results = sweep_map(job, jobs, checkpoint_dir=ckpt, resume=resume)
+results = sweep_map(job, jobs,
+                    executor=SerialExecutor(checkpoint_dir=ckpt, resume=resume))
 Path(out).write_text(json.dumps(results, sort_keys=True, indent=1))
 """
 

@@ -48,9 +48,9 @@ def make_pvfs_cluster(n_compute: int = 4, n_ions: int = 3,
 
 #: The two shapes of column input the columnar kernels are fed, as test
 #: ids: ``numpy`` -- read-only ``ndarray`` views into one shared buffer,
-#: like the zero-copy columns :func:`repro.tracer.shm.attach_columns`
-#: hands out (a kernel that wrote to its input would fail here); and
-#: ``python`` -- columns converted from plain Python lists, as
+#: so a kernel that wrote to its input would fail here (the kernels
+#: must treat columns as immutable: cached and streamed columns are
+#: shared between callers); and ``python`` -- columns converted from plain Python lists, as
 #: ``TraceColumns.from_records`` and the exact line parser build them.
 COLUMN_SOURCES = pytest.mark.parametrize("source", ["numpy", "python"])
 

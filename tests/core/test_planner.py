@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import cache as simcache
 from repro.core.estimate import estimate_model, select_configuration
+from repro.core.executors import SerialExecutor
 from repro.core.offsetfn import OffsetFunction
 from repro.core.phases import Phase, PhaseOp
 from repro.core.planner import (
@@ -125,7 +126,8 @@ class TestExecute:
 
         plan = build_replay_plan([make_phase(1)],
                                  {"good": nfs_a, "bad": pvfs})
-        reports = plan.execute(runner=flaky, raise_on_error=False)
+        reports = plan.execute(runner=flaky,
+                               executor=SerialExecutor(raise_on_error=False))
         assert not reports["bad"]  # JobFailure is falsy
         assert isinstance(reports["bad"], JobFailure)
         assert reports["good"].phases[0].bw_ch_mb_s == 50.0

@@ -10,6 +10,7 @@ from repro.apps.madbench2 import MADbench2Params, madbench2_program
 from repro.clusters import configuration_a, configuration_b
 from repro.core import cache as simcache
 from repro.core.estimate import select_configuration
+from repro.core.executors import PoolExecutor
 from repro.core.offsetfn import OffsetFunction
 from repro.core.phases import Phase, PhaseOp
 from repro.core.pipeline import characterize_app, full_study
@@ -67,7 +68,8 @@ class TestParallelSweeps:
                      "configuration-B": configuration_b}
         serial = select_configuration(model.phases, factories)
         simcache.clear_all()
-        par = select_configuration(model.phases, factories, parallel=True)
+        par = select_configuration(model.phases, factories,
+                                   executor=PoolExecutor(max_workers=2))
         assert par.best == serial.best
         for name in factories:
             assert par.total_times[name] == pytest.approx(
@@ -83,7 +85,8 @@ class TestParallelSweeps:
         simcache.clear_all()
         par = full_study(madbench2_program, 4, params,
                          cluster_factories=factories,
-                         app_name="madbench2", parallel=True)
+                         app_name="madbench2",
+                         executor=PoolExecutor(max_workers=2))
         assert par["selection"]["best"] == serial["selection"]["best"]
         for name in factories:
             assert (par["estimates"][name].total_time_ch
@@ -96,5 +99,6 @@ class TestParallelSweeps:
                                                   busy_seconds=0.0),
             app_name="madbench2")
         factories = {"nfs": lambda: make_nfs_cluster()}
-        choice = select_configuration(model.phases, factories, parallel=True)
+        choice = select_configuration(model.phases, factories,
+                                      executor=PoolExecutor(max_workers=2))
         assert choice.best == "nfs"

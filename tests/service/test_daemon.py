@@ -233,6 +233,29 @@ def test_status_reports_the_breaker_ladder(service):
     assert stats["queue_cap"] == 16 and stats["workers"] == 2
 
 
+def test_serial_tier_builds_only_serial_executors(service, monkeypatch):
+    """The breaker's last-resort tier must not run the backend that just
+    failed: whatever the environment names, a ``serial`` tier builds a
+    SerialExecutor and nothing else."""
+    from repro.core import executors
+
+    built = []
+    for cls in (executors.SerialExecutor, executors.PoolExecutor,
+                executors.ClusterExecutor):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    monkeypatch.setenv("REPRO_EXECUTOR", "pool")
+
+    _daemon, client = service(executor=None)
+    spec = {"kind": "select", "app": "synthetic", "np": 4,
+            "configs": ["configuration-A", "configuration-B"]}
+    res = client.submit_and_wait([spec], timeout_s=120)
+    assert res["requests"][0]["state"] == "done"
+    assert built and set(built) == {"SerialExecutor"}
+
+
 def test_metrics_op(service, tmp_path):
     _daemon, client = service(journal_dir=tmp_path / "plain")
     assert client.metrics()["error"] == "metrics_disabled"

@@ -116,6 +116,38 @@ class TestUnreadableModel:
         assert "Traceback" not in err
 
 
+class TestUnreadableTraces:
+    """``model --traces`` reports a damaged or missing trace directory
+    as a usage error (exit 2, one line), never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def trace_dir(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("cli") / "traces"
+        main(["trace", "--app", "synthetic", "--np", "4",
+              "--out", str(out_dir)])
+        lines = (out_dir / "trace.1").read_text().splitlines()
+        lines[2] = "garbage row"
+        (out_dir / "trace.1").write_text("\n".join(lines) + "\n")
+        return out_dir
+
+    @pytest.mark.parametrize("case", ["garbage", "garbage-stream",
+                                      "missing"])
+    def test_clean_error(self, tmp_path, capsys, trace_dir, case):
+        path = tmp_path / "nowhere" if case == "missing" else trace_dir
+        argv = ["model", "--traces", str(path)]
+        if case == "garbage-stream":
+            argv.append("--stream")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-io: error: cannot read traces {path}: ")
+        assert len(err.splitlines()) == 1
+        if case != "missing":
+            assert "trace.1:3" in err and "garbage row" in err
+
+
 class TestAppResolution:
     def test_np_threaded_into_params(self):
         _, params = _app_for("ior", 8)
