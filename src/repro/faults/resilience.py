@@ -29,10 +29,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     max_backoff_s: float = 1.0
     retry_on: tuple = (TransientFault,)
-    #: Per-job wall-clock timeout.  Sweeps enforce their executor's
-    #: ``timeout_s``, not this field; the service runner folds it
-    #: into that one (see docs/robustness.md).
-    timeout_s: float | None = None
 
     def __post_init__(self):
         if self.max_attempts < 1:

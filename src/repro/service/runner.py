@@ -10,10 +10,9 @@ spec, so the digest is bit-identical across runs, schedules, executor
 backends, and -- the property the chaos CI leg asserts -- across a
 ``kill -9`` + journal recovery.
 
-Deadlines: ``deadline_s`` becomes the per-job wall-clock budget of the
-study's :class:`~repro.faults.resilience.RetryPolicy` (and the
-executor's ``timeout_s``), so a request cannot pin a worker past the
-time its client was willing to wait.
+Deadlines: ``deadline_s`` becomes the executor's per-job wall-clock
+``timeout_s``, so a request cannot pin a worker past the time its
+client was willing to wait.
 """
 
 from __future__ import annotations
@@ -34,31 +33,6 @@ def result_digest(result: dict) -> str:
     return hashlib.sha256(canonical_json(result).encode("utf-8")).hexdigest()
 
 
-def _retry_for(retry: RetryPolicy | None, deadline_s: float | None):
-    """Fold the request deadline into the retry policy's timeout.
-
-    The tighter of (existing policy timeout, request deadline) wins;
-    the effective timeout is also returned for the executor, which
-    enforces it on parallel backends.
-    """
-    timeout = deadline_s
-    if retry is not None and retry.timeout_s is not None:
-        timeout = (retry.timeout_s if timeout is None
-                   else min(retry.timeout_s, timeout))
-    if retry is None:
-        policy = RetryPolicy(timeout_s=timeout)
-    elif timeout != retry.timeout_s:
-        policy = RetryPolicy(max_attempts=retry.max_attempts,
-                             backoff_s=retry.backoff_s,
-                             backoff_factor=retry.backoff_factor,
-                             max_backoff_s=retry.max_backoff_s,
-                             retry_on=retry.retry_on,
-                             timeout_s=timeout)
-    else:
-        policy = retry
-    return policy, timeout
-
-
 def run_request(spec: dict, *, tier: str = "serial",
                 retry: RetryPolicy | None = None,
                 checkpoint_dir: str | Path | None = None) -> dict:
@@ -76,8 +50,9 @@ def run_request(spec: dict, *, tier: str = "serial",
 
     kind = spec["kind"]
     program, params = resolve_app(spec["app"], spec["np"])
-    policy, timeout_s = _retry_for(retry, spec.get("deadline_s"))
-    executor = get_executor(tier, retry=policy, timeout_s=timeout_s,
+    executor = get_executor(tier,
+                            retry=RetryPolicy() if retry is None else retry,
+                            timeout_s=spec.get("deadline_s"),
                             checkpoint_dir=checkpoint_dir,
                             resume=checkpoint_dir is not None)
 

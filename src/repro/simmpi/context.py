@@ -7,7 +7,7 @@ scheduling point of the deterministic engine and increments the rank's
 *tick* (the paper's logical time unit); ``compute`` advances virtual
 time without a tick since it is not an MPI event.
 
-Every verb is a generator that yields op dicts to the engine; rank
+Every verb is a generator that yields one op dict to the engine; rank
 programs delegate to it with ``yield from``, so the single-threaded
 scheduler can suspend the rank at every op::
 
@@ -15,6 +15,13 @@ scheduler can suspend the rank at every op::
         fh = yield from ctx.file_open("data")
         yield from fh.write_at(0, 1024)
         yield from ctx.barrier()
+
+A collective verb's op names a module-level finalizer (``_barrier``,
+``_allreduce``, ...).  The engine calls the lowest member's once every
+member has arrived, as ``finalize(engine, start, ranks, ops)`` with the
+sorted member ranks and ``{rank: op}``; it reads the call's arguments
+(``nbytes``, ``root``, the reduction ``op``) from the lowest member's
+op and returns ``({rank: duration}, {rank: result})``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,90 @@ from typing import Any, Callable, Generator, Sequence
 from .engine import Comm, Engine
 from .errors import MPIUsageError
 from .fileio import SimFileHandle
+
+
+def _uniform(engine: Engine, t0: float, ranks: Sequence[int], nbytes: int,
+             pattern: str, result: Any = None):
+    """Every member takes the same time and gets the same result."""
+    dur = engine.platform.comm_time(nbytes, len(ranks), pattern, t0)
+    return dict.fromkeys(ranks, dur), dict.fromkeys(ranks, result)
+
+
+def _barrier(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    return _uniform(engine, t0, ranks, 0, "barrier")
+
+
+def _rooted(ops: dict, ranks: Sequence[int], verb: str) -> tuple[dict, int]:
+    """The lowest member's op and its ``root``, which must be a member."""
+    first = ops[ranks[0]]
+    if first["root"] not in ops:
+        raise MPIUsageError(f"{verb} root {first['root']} not in communicator")
+    return first, first["root"]
+
+
+def _bcast(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    first, root = _rooted(ops, ranks, "bcast")
+    return _uniform(engine, t0, ranks, first["nbytes"], "bcast",
+                    ops[root]["payload"])
+
+
+def _allreduce(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    first = ops[ranks[0]]
+    result = first["op"]([ops[r]["payload"] for r in ranks])
+    return _uniform(engine, t0, ranks, first["nbytes"], "allreduce", result)
+
+
+def _gather(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    first = ops[ranks[0]]
+    root = first["root"]
+    values = [ops[r]["payload"] for r in ranks]
+    n = len(ranks)
+    dur = engine.platform.comm_time(first["nbytes"] * n, n, "gather", t0)
+    return (dict.fromkeys(ranks, dur),
+            {r: (values if r == root else None) for r in ranks})
+
+
+def _reduce(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    first, root = _rooted(ops, ranks, "reduce")
+    result = first["op"]([ops[r]["payload"] for r in ranks])
+    dur = engine.platform.comm_time(first["nbytes"], len(ranks), "reduce", t0)
+    return (dict.fromkeys(ranks, dur),
+            {r: (result if r == root else None) for r in ranks})
+
+
+def _scatter(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    first, root = _rooted(ops, ranks, "scatter")
+    vals = ops[root]["payload"]
+    n = len(ranks)
+    if vals is None or len(vals) != n:
+        raise MPIUsageError(f"scatter needs exactly {n} values on the root")
+    dur = engine.platform.comm_time(first["nbytes"] * n, n, "gather", t0)
+    return dict.fromkeys(ranks, dur), dict(zip(ranks, vals))
+
+
+def _allgather(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    values = [ops[r]["payload"] for r in ranks]
+    n = len(ranks)
+    dur = engine.platform.comm_time(ops[ranks[0]]["nbytes"] * n, n,
+                                    "alltoall", t0)
+    return dict.fromkeys(ranks, dur), {r: list(values) for r in ranks}
+
+
+def _alltoall(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    return _uniform(engine, t0, ranks, ops[ranks[0]]["nbytes"] * len(ranks),
+                    "alltoall")
+
+
+def _split(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for r in ranks:
+        c, k = ops[r]["payload"]
+        groups.setdefault(c, []).append((k, r))
+    comms = {c: Comm([r for _, r in sorted(members)], name=f"split-{c}")
+             for c, members in groups.items()}
+    dur = engine.platform.comm_time(8, len(ranks), "split", t0)
+    return (dict.fromkeys(ranks, dur),
+            {r: comms[ops[r]["payload"][0]] for r in ranks})
 
 
 class RankContext:
@@ -67,135 +158,56 @@ class RankContext:
                "fn": lambda start: (seconds, None)}
 
     # -- collectives --------------------------------------------------------------
-    def _collective(
-        self,
-        name: str,
-        comm: Comm | None,
-        finalize: Callable,
-        payload: Any = None,
-        **extra: Any,
-    ) -> Generator:
-        comm = comm or self._engine.world
-        op = {
-            "kind": "collective",
-            "name": name,
-            "comm": comm,
-            "ticks": 1,
-            "payload": payload,
-            "finalize": finalize,
-        }
-        op.update(extra)
-        result = yield op
-        return result
-
     def barrier(self, comm: Comm | None = None) -> Generator:
         """Synchronize all ranks of ``comm`` (world by default)."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            dur = platform.comm_time(0, len(ops), "barrier", t0)
-            return {r: dur for r in ops}, {r: None for r in ops}
-
-        return (yield from self._collective("barrier", comm, finalize))
+        return (yield {"kind": "collective", "name": "barrier",
+                       "comm": comm or self._engine.world,
+                       "finalize": _barrier})
 
     def bcast(self, value: Any = None, root: int = 0, nbytes: int = 8,
               comm: Comm | None = None) -> Generator:
         """Broadcast ``value`` from world-rank ``root``; returns it on all ranks."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            if root not in ops:
-                raise MPIUsageError(f"bcast root {root} not in communicator")
-            result = ops[root]["payload"]
-            dur = platform.comm_time(nbytes, len(ops), "bcast", t0)
-            return {r: dur for r in ops}, {r: result for r in ops}
-
-        return (yield from self._collective("bcast", comm, finalize,
-                                            payload=value))
+        return (yield {"kind": "collective", "name": "bcast",
+                       "comm": comm or self._engine.world, "payload": value,
+                       "finalize": _bcast, "root": root, "nbytes": nbytes})
 
     def allreduce(self, value: Any,
                   op: Callable[[Sequence[Any]], Any] = sum,
                   nbytes: int = 8, comm: Comm | None = None) -> Generator:
         """Reduce ``value`` across ranks with ``op`` (sum by default)."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            values = [ops[r]["payload"] for r in sorted(ops)]
-            result = op(values)
-            dur = platform.comm_time(nbytes, len(ops), "allreduce", t0)
-            return {r: dur for r in ops}, {r: result for r in ops}
-
-        return (yield from self._collective("allreduce", comm, finalize,
-                                            payload=value))
+        return (yield {"kind": "collective", "name": "allreduce",
+                       "comm": comm or self._engine.world, "payload": value,
+                       "finalize": _allreduce, "op": op, "nbytes": nbytes})
 
     def gather(self, value: Any, root: int = 0, nbytes: int = 8,
                comm: Comm | None = None) -> Generator:
         """Gather values to ``root``; returns the list on root, None elsewhere."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            values = [ops[r]["payload"] for r in sorted(ops)]
-            dur = platform.comm_time(nbytes * len(ops), len(ops), "gather", t0)
-            return (
-                {r: dur for r in ops},
-                {r: (values if r == root else None) for r in ops},
-            )
-
-        return (yield from self._collective("gather", comm, finalize,
-                                            payload=value))
+        return (yield {"kind": "collective", "name": "gather",
+                       "comm": comm or self._engine.world, "payload": value,
+                       "finalize": _gather, "root": root, "nbytes": nbytes})
 
     def reduce(self, value: Any, root: int = 0,
                op: Callable[[Sequence[Any]], Any] = sum, nbytes: int = 8,
                comm: Comm | None = None) -> Generator:
         """Reduce to ``root``; returns the result on root, None elsewhere."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            if root not in ops:
-                raise MPIUsageError(f"reduce root {root} not in communicator")
-            values = [ops[r]["payload"] for r in sorted(ops)]
-            result = op(values)
-            dur = platform.comm_time(nbytes, len(ops), "reduce", t0)
-            return ({r: dur for r in ops},
-                    {r: (result if r == root else None) for r in ops})
-
-        return (yield from self._collective("reduce", comm, finalize,
-                                            payload=value))
+        return (yield {"kind": "collective", "name": "reduce",
+                       "comm": comm or self._engine.world, "payload": value,
+                       "finalize": _reduce, "root": root, "op": op,
+                       "nbytes": nbytes})
 
     def scatter(self, values: Sequence[Any] | None = None, root: int = 0,
                 nbytes: int = 8, comm: Comm | None = None) -> Generator:
         """Scatter ``values`` (one per comm rank, given on root) from root."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            if root not in ops:
-                raise MPIUsageError(f"scatter root {root} not in communicator")
-            vals = ops[root]["payload"]
-            ranks = sorted(ops)
-            if vals is None or len(vals) != len(ranks):
-                raise MPIUsageError(
-                    f"scatter needs exactly {len(ranks)} values on the root")
-            dur = platform.comm_time(nbytes * len(ranks), len(ranks),
-                                     "gather", t0)
-            return ({r: dur for r in ops},
-                    {r: vals[i] for i, r in enumerate(ranks)})
-
-        return (yield from self._collective("scatter", comm, finalize,
-                                            payload=values))
+        return (yield {"kind": "collective", "name": "scatter",
+                       "comm": comm or self._engine.world, "payload": values,
+                       "finalize": _scatter, "root": root, "nbytes": nbytes})
 
     def allgather(self, value: Any, nbytes: int = 8,
                   comm: Comm | None = None) -> Generator:
         """Gather values from all ranks to all ranks."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            values = [ops[r]["payload"] for r in sorted(ops)]
-            dur = platform.comm_time(nbytes * len(ops), len(ops),
-                                     "alltoall", t0)
-            return {r: dur for r in ops}, {r: list(values) for r in ops}
-
-        return (yield from self._collective("allgather", comm, finalize,
-                                            payload=value))
+        return (yield {"kind": "collective", "name": "allgather",
+                       "comm": comm or self._engine.world, "payload": value,
+                       "finalize": _allgather, "nbytes": nbytes})
 
     def sendrecv(self, dest: int, source: int, nbytes: int = 8,
                  tag: int = 0, payload: Any = None) -> Generator:
@@ -216,39 +228,17 @@ class RankContext:
     def alltoall(self, nbytes_per_peer: int = 8,
                  comm: Comm | None = None) -> Generator:
         """Model an all-to-all exchange of ``nbytes_per_peer`` per pair."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            n = len(ops)
-            dur = platform.comm_time(nbytes_per_peer * n, n, "alltoall", t0)
-            return {r: dur for r in ops}, {r: None for r in ops}
-
-        return (yield from self._collective("alltoall", comm, finalize))
+        return (yield {"kind": "collective", "name": "alltoall",
+                       "comm": comm or self._engine.world,
+                       "finalize": _alltoall, "nbytes": nbytes_per_peer})
 
     def split(self, color: int, key: int | None = None,
               comm: Comm | None = None) -> Generator:
         """Split a communicator by ``color`` (like ``MPI_Comm_split``)."""
-        platform = self._engine.platform
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for r in sorted(ops):
-                c, k = ops[r]["payload"]
-                groups.setdefault(c, []).append((k, r))
-            comms: dict[int, Comm] = {}
-            results: dict[int, Comm] = {}
-            for c, members in groups.items():
-                ranks = [r for _, r in sorted(members)]
-                comms[c] = Comm(ranks, name=f"split-{c}")
-            for r in sorted(ops):
-                c, _ = ops[r]["payload"]
-                results[r] = comms[c]
-            dur = platform.comm_time(8, len(ops), "split", t0)
-            return {r: dur for r in ops}, results
-
         me = key if key is not None else self._rank
-        return (yield from self._collective("split", comm, finalize,
-                                            payload=(color, me)))
+        return (yield {"kind": "collective", "name": "split",
+                       "comm": comm or self._engine.world,
+                       "payload": (color, me), "finalize": _split})
 
     # -- point-to-point --------------------------------------------------------------
     def send(self, peer: int, nbytes: int, tag: int = 0,
@@ -280,6 +270,6 @@ class RankContext:
         ranks obtain handles onto the same simulated file, mirroring
         ``MPI_File_open`` on a communicator.
         """
-        return (yield from SimFileHandle.open(
+        return SimFileHandle.open(
             self._engine, self, filename, mode=mode, unique=unique,
-            comm=comm or self._engine.world))
+            comm=comm or self._engine.world)

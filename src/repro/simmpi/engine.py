@@ -3,16 +3,20 @@
 This module is the substitute for a real MPI runtime (mpich2/OpenMPI in
 the paper).  The engine enforces *strict one-at-a-time* execution: a
 rank runs only between two MPI calls, and every MPI call is a
-scheduling point.  The scheduler always acts on the rank with the
+scheduling point.  The scheduler always resumes the rank with the
 smallest ``(virtual clock, rank id)``, so a whole run is a pure function
 of the program -- identical traces on every execution (verified by the
 determinism tests).
 
 Every rank program is a generator: each MPI verb of the rank's
-:class:`~repro.simmpi.context.RankContext` yields an op dict, and the
+:class:`~repro.simmpi.context.RankContext` yields one op dict, and the
 program delegates to it with ``yield from ctx.<verb>(...)``.  One
-single-threaded event loop resumes the ranks with ``gen.send`` -- no
-threads, no locks, near-zero cost per simulated MPI call.
+single-threaded event loop resumes the ranks with ``gen.send`` and
+processes each yielded op on the spot -- no threads, no locks, one
+dispatch per simulated MPI call.  A collective op carries a
+module-level ``finalize`` function; when the last member arrives the
+engine calls the lowest rank's one, which reads its arguments from the
+members' ops.
 
 Virtual time is tracked per rank in seconds; *ticks* are per-rank logical
 event counters incremented at every MPI event, exactly the logical time
@@ -44,7 +48,6 @@ from .errors import (
 # Rank statuses -------------------------------------------------------------
 _INIT = "init"
 _RUNNING = "running"
-_WAITING_SCHED = "waiting_sched"  # posted an op, waiting for it to be processed
 _IN_COLLECTIVE = "in_collective"  # arrived at a collective, peers missing
 _WAITING_RESUME = "waiting_resume"  # op processed, waiting to be resumed
 _DONE = "done"
@@ -122,23 +125,24 @@ class IdealPlatform:
         return rank
 
 
-@dataclass
+@dataclass(slots=True)
 class _RankState:
     rank: int
     clock: float = 0.0
     tick: int = 0
     status: str = _INIT
-    pending: Any = None
     op_result: Any = None
     exception: BaseException | None = None
+    #: communicator id -> index of this rank's next collective on it
+    coll_index: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Collective:
     """An in-flight collective instance on one communicator."""
 
     op: str
-    expected: frozenset[int]
+    comm: "Comm"
     arrived: dict[int, Any] = field(default_factory=dict)
 
 
@@ -216,7 +220,6 @@ class Engine:
         self.platform: Platform = platform if platform is not None else IdealPlatform()
         self._states = [_RankState(r) for r in range(nprocs)]
         self._collectives: dict[tuple, _Collective] = {}
-        self._coll_counts: dict[tuple, int] = {}
         self._p2p_queues: dict[tuple, list] = {}  # (src, dst, tag) -> waiting ops
         self._io_hooks: list[Callable[..., None]] = []
         self._files: dict[str, Any] = {}  # filename -> fileio.SimFile
@@ -295,42 +298,33 @@ class Engine:
 
         ``_WAITING_RESUME`` means "has an op result to consume";
         resuming is a plain ``gen.send`` (or ``gen.throw`` for a failed
-        op).  The loop always acts on the runnable rank with the
-        smallest ``(clock, rank)``.
+        op).  The loop always resumes the runnable rank with the
+        smallest ``(clock, rank)`` and processes the op it yields right
+        away: the rank's clock did not move while it ran and nothing was
+        enqueued, so it is still the minimum.
         """
         states = self._states
         # Lazy-deletion ready heap of (clock, rank): every rank gets an
-        # entry each time it becomes runnable (startup, `_wake`, or after
-        # posting an op below), and a rank's clock never changes *while*
-        # runnable, so the smallest non-stale entry is exactly the
-        # min (clock, rank) pick, in O(log n) per step.
+        # entry each time it becomes runnable (startup or `_wake`), and a
+        # rank's clock never changes *while* runnable, so the smallest
+        # non-stale entry is exactly the min (clock, rank) pick, in
+        # O(log n) per step.
         heap = self._ready = []
         heappush, heappop = heapq.heappush, heapq.heappop
-        heappushpop = heapq.heappushpop
         for st in states:
             st.status = _WAITING_RESUME
             st.op_result = None
             heappush(heap, (st.clock, st.rank))
         n_done = 0
-        # A rank that just posted an op was the minimum when it was popped
-        # and nothing was enqueued while it ran, so it goes back through
-        # heappushpop: one comparison hands it straight back.
-        handoff = None
+        process_op = self._process_op
         try:
             while True:
-                st = None
-                while heap or handoff:
-                    clock, rank = (heappushpop(heap, handoff) if handoff
-                                   else heappop(heap))
-                    handoff = None
-                    cand = states[rank]
-                    status = cand.status
-                    if ((status is _WAITING_SCHED
-                         or status is _WAITING_RESUME)
-                            and cand.clock == clock):
-                        st = cand
+                while heap:
+                    clock, rank = heappop(heap)
+                    st = states[rank]
+                    if st.status is _WAITING_RESUME and st.clock == clock:
                         break
-                if st is None:
+                else:
                     if n_done == len(states):
                         return
                     blocked = [s.rank for s in states
@@ -339,18 +333,15 @@ class Engine:
                         f"no runnable rank; ranks {blocked} blocked in collectives "
                         f"{sorted((c.op, sorted(c.arrived)) for c in self._collectives.values())}"
                     )
-                if st.status is _WAITING_SCHED:
-                    self._process_op(st)  # re-enqueues via _wake
-                    continue
-                # _WAITING_RESUME: feed the op result to the rank's
-                # generator; it runs until its next yielded op (or ends).
+                # Feed the op result to the rank's generator; it runs
+                # until its next yielded op (or ends).
                 result, st.op_result = st.op_result, None
                 st.status = _RUNNING
                 try:
                     if isinstance(result, BaseException):
-                        op = gens[st.rank].throw(result)
+                        op = gens[rank].throw(result)
                     else:
-                        op = gens[st.rank].send(result)
+                        op = gens[rank].send(result)
                 except StopIteration:
                     st.status = _DONE
                     n_done += 1
@@ -359,9 +350,7 @@ class Engine:
                     st.status = _FAILED
                     return
                 else:
-                    st.pending = op
-                    st.status = _WAITING_SCHED
-                    handoff = (st.clock, st.rank)
+                    process_op(st, op)  # re-enqueues via _wake
         finally:
             for st in states:
                 if st.status not in (_DONE, _FAILED):
@@ -372,21 +361,19 @@ class Engine:
         st.status = _WAITING_RESUME
         heapq.heappush(self._ready, (st.clock, st.rank))
 
-    def _process_op(self, st: _RankState) -> None:
-        op = st.pending
-        st.pending = None
+    def _process_op(self, st: _RankState, op: Any) -> None:
         kind = op["kind"]
         if obs.ACTIVE:
             obs.inc("engine_ops_total", kind=kind)
-        if kind == "local":
+        if kind == "collective":
+            self._arrive_collective(st, op)
+        elif kind == "local":
             # op["fn"](start) -> (duration, result); ticks charged as given.
             duration, result = op["fn"](st.clock)
             st.clock += duration
-            st.tick += op.get("ticks", 1)
+            st.tick += op["ticks"]
             st.op_result = result
             self._wake(st)
-        elif kind == "collective":
-            self._arrive_collective(st, op)
         elif kind == "p2p":
             self._arrive_p2p(st, op)
         else:  # pragma: no cover - defensive
@@ -434,14 +421,15 @@ class Engine:
             )
             self._wake(st)
             return
-        count_key = (comm.cid, rank)
-        index = self._coll_counts.get(count_key, 0)
-        self._coll_counts[count_key] = index + 1
-        key = (comm.cid, index)
+        cid = comm.cid
+        coll_index = st.coll_index
+        index = coll_index.get(cid, 0)
+        coll_index[cid] = index + 1
+        key = (cid, index)
         name = op["name"]
         coll = self._collectives.get(key)
         if coll is None:
-            coll = self._collectives[key] = _Collective(name, comm._members)
+            coll = self._collectives[key] = _Collective(name, comm)
         elif coll.op != name:
             err = CollectiveMismatch(
                 f"collective #{index} on {comm!r}: rank {rank} called "
@@ -461,24 +449,28 @@ class Engine:
         st.status = _IN_COLLECTIVE
         # Arrivals are membership-checked and at most one per rank per
         # index, so counting replaces a set comparison.
-        if len(arrived) == len(coll.expected):
+        if len(arrived) == len(comm._members):
             del self._collectives[key]
             self._finalize_collective(coll)
 
     def _finalize_collective(self, coll: _Collective) -> None:
         ops = coll.arrived
+        # Every member arrived: the sorted member list is the comm's own.
+        ranks = coll.comm.world_ranks
         states = self._states
-        parts = [states[r] for r in sorted(ops)]
+        parts = [states[r] for r in ranks]
         t0 = max([p.clock for p in parts])
-        # finalize(start, {rank: op}) -> ({rank: duration}, {rank: result})
-        durations, results = ops[parts[0].rank]["finalize"](t0, ops)
+        # finalize(engine, start, ranks, {rank: op})
+        #   -> ({rank: duration}, {rank: result})
+        durations, results = ops[ranks[0]]["finalize"](self, t0, ranks, ops)
         if obs.ACTIVE:
             obs.observe_collective(coll.op, t0, durations)
         ready = self._ready
+        heappush = heapq.heappush
         for p in parts:
             rank = p.rank
             p.clock = clock = t0 + durations.get(rank, 0.0)
-            p.tick += ops[rank].get("ticks", 1)
+            p.tick += 1  # a collective is one MPI event
             p.op_result = results.get(rank)
             p.status = _WAITING_RESUME  # _wake, inlined
-            heapq.heappush(ready, (clock, rank))
+            heappush(ready, (clock, rank))

@@ -17,9 +17,12 @@ elementary-type units of the current view), while request sizes are in
 Fig. 2 shows offsets stepping by 265302 (etypes of 40 bytes) while the
 request size column reads 10612080 bytes.
 
-Every operation is a generator yielding op dicts to the engine; rank
+Every operation is a generator yielding one op dict to the engine; rank
 programs delegate to it with ``yield from``, e.g.
-``yield from fh.write_at(0, 1024)``.
+``yield from fh.write_at(0, 1024)``.  A collective data operation's op
+carries the rank's :class:`IORequest`; one shared finalizer
+(``_collective_io_done``) services all members' requests together and
+builds each member's event.
 
 Every data operation produces an :class:`IOEvent` delivered to the
 engine's I/O hooks; the tracer (``repro.tracer``) turns those into the
@@ -31,7 +34,7 @@ the view-mapped absolute byte runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, NamedTuple
+from typing import TYPE_CHECKING, Any, Generator, NamedTuple, Sequence
 
 from .datatypes import BYTE, Datatype, FileView
 from .engine import Comm, Engine, IORequest
@@ -155,11 +158,8 @@ class SimFileHandle:
                 "fn": lambda start: (platform.comm_time(0, 1, "file_open", start), None),
             }
         else:
-            def finalize(t0: float, ops: dict[int, Any]):
-                dur = platform.comm_time(0, len(ops), "file_open", t0)
-                return {r: dur for r in ops}, {r: None for r in ops}
-
-            yield from ctx._collective("file_open", comm, finalize)
+            yield {"kind": "collective", "name": "file_open", "comm": comm,
+                   "finalize": _file_open_done}
         simfile.openers.add(ctx.rank)
         return handle
 
@@ -312,71 +312,40 @@ class SimFileHandle:
             unique_file=self.file.unique,
         )
 
-    def _emit(self, kind: str, addressing: str, collective: bool, offset: int,
-              nbytes: int, start: float, duration: float, tick: int,
-              abs_offset: int) -> None:
-        f = self.file
-        self._engine.emit_io_event(_new_event(IOEvent, (
-            self._ctx.rank, f.file_id, f.name,
-            OP_NAMES[(kind, addressing, collective)], offset, abs_offset, tick,
-            nbytes, start, duration, kind, collective, f.unique)))
+    def _serve(self, req: IORequest, op_name: str, offset: int, nbytes: int,
+               start: float) -> float:
+        """Service one independent request at ``start``, grow the file on
+        a write and emit the event; returns the duration."""
+        req.start = start
+        engine = self._engine
+        duration = engine.platform.service_io(req)
+        runs, f = req.runs, self.file
+        if req.kind == "write" and runs:
+            f.grow(runs[-1][0] + runs[-1][1])
+        rank = self._ctx.rank
+        engine.emit_io_event(_new_event(IOEvent, (
+            rank, f.file_id, f.name, op_name, offset,
+            runs[0][0] if runs else 0, engine._states[rank].tick + 1, nbytes,
+            start, duration, req.kind, False, f.unique)))
+        return duration
 
     def _independent_io(self, kind: str, addressing: str, offset: int,
                         nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta(addressing, collective=False)
         req = self._build_request(kind, offset, nbytes, collective=False)
-        engine = self._engine
-        rank = self._ctx.rank
-        simfile = self.file
-
-        def fn(start: float):
-            req.start = start
-            duration = engine.platform.service_io(req)
-            if kind == "write" and req.runs:
-                simfile.grow(req.runs[-1][0] + req.runs[-1][1])
-            tick = engine._states[rank].tick + 1
-            abs_off = req.runs[0][0] if req.runs else 0
-            self._emit(kind, addressing, False, offset, nbytes, start, duration,
-                       tick, abs_off)
-            return duration, None
-
-        yield {"kind": "local", "ticks": 1, "fn": fn}
+        op_name = OP_NAMES[(kind, addressing, False)]
+        yield {"kind": "local", "ticks": 1, "fn": lambda start: (
+            self._serve(req, op_name, offset, nbytes, start), None)}
 
     def _collective_io(self, kind: str, addressing: str, offset: int,
                        nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta(addressing, collective=True)
-        req = self._build_request(kind, offset, nbytes, collective=True)
-        engine = self._engine
-        simfile = self.file
-
-        def finalize(t0: float, ops: dict[int, Any]):
-            peers = [ops[r] for r in sorted(ops)]
-            reqs = []
-            for peer in peers:
-                peer_req: IORequest = peer["req"]
-                peer_req.start = t0
-                reqs.append(peer_req)
-            durations = engine.platform.service_collective_io(reqs, t0)
-            states = engine._states
-            for peer, peer_req in zip(peers, reqs):
-                runs = peer_req.runs
-                if kind == "write" and runs:
-                    simfile.grow(runs[-1][0] + runs[-1][1])
-                r = peer_req.rank
-                peer["handle"]._emit(kind, addressing, True, peer["view_offset"],
-                                     peer["nbytes"], t0, durations[r],
-                                     states[r].tick + 1,
-                                     runs[0][0] if runs else 0)
-            return durations, dict.fromkeys(ops)
-
-        # The op dict RankContext._collective would yield, built here
-        # to save a generator level on every resume.
         yield {"kind": "collective", "name": OP_NAMES[(kind, addressing, True)],
-               "comm": self.comm, "ticks": 1, "payload": None,
-               "finalize": finalize, "req": req, "handle": self,
-               "view_offset": offset, "nbytes": nbytes}
+               "comm": self.comm, "finalize": _collective_io_done,
+               "req": self._build_request(kind, offset, nbytes, collective=True),
+               "file": self.file, "view_offset": offset, "nbytes": nbytes}
 
     def _nonblocking_io(self, kind: str, offset: int,
                         nbytes: int) -> Generator:
@@ -384,24 +353,12 @@ class SimFileHandle:
         self._mark_meta("explicit", collective=False)
         self.file.meta.used_nonblocking = True
         req = self._build_request(kind, offset, nbytes, collective=False)
-        engine = self._engine
-        rank = self._ctx.rank
-        simfile = self.file
         handle = IORequestHandle(self)
-
         op_name = "MPI_File_iwrite_at" if kind == "write" else "MPI_File_iread_at"
 
         def fn(start: float):
-            req.start = start
-            duration = engine.platform.service_io(req)
-            if kind == "write" and req.runs:
-                simfile.grow(req.runs[-1][0] + req.runs[-1][1])
-            tick = engine._states[rank].tick + 1
-            abs_off = req.runs[0][0] if req.runs else 0
-            engine.emit_io_event(_new_event(IOEvent, (
-                rank, simfile.file_id, simfile.name, op_name, offset, abs_off,
-                tick, nbytes, start, duration, kind, False, simfile.unique)))
-            handle._completion = start + duration
+            handle._completion = start + self._serve(req, op_name, offset,
+                                                     nbytes, start)
             # The rank continues immediately: overlap with computation.
             return 0.0, None
 
@@ -411,26 +368,55 @@ class SimFileHandle:
     def _shared_io(self, kind: str, nbytes: int) -> Generator:
         self._check_io(kind, nbytes)
         self._mark_meta("shared", collective=False)
-        engine = self._engine
-        rank = self._ctx.rank
         simfile = self.file
-        handle = self
+        op_name = OP_NAMES[(kind, "shared", False)]
 
         def fn(start: float):
             offset = simfile.shared_pointer
             simfile.shared_pointer = offset + nbytes
-            req = handle._build_request(kind, offset, nbytes, collective=False)
-            req.start = start
-            duration = engine.platform.service_io(req)
-            if kind == "write" and req.runs:
-                simfile.grow(req.runs[-1][0] + req.runs[-1][1])
-            tick = engine._states[rank].tick + 1
-            abs_off = req.runs[0][0] if req.runs else 0
-            handle._emit(kind, "shared", False, offset, nbytes, start, duration,
-                         tick, abs_off)
-            return duration, None
+            req = self._build_request(kind, offset, nbytes, collective=False)
+            return self._serve(req, op_name, offset, nbytes, start), None
 
         yield {"kind": "local", "ticks": 1, "fn": fn}
+
+
+def _file_open_done(engine: Engine, t0: float, ranks: Sequence[int],
+                    ops: dict[int, Any]):
+    """Finalizer of a shared ``MPI_File_open`` (see ``context``)."""
+    dur = engine.platform.comm_time(0, len(ranks), "file_open", t0)
+    return dict.fromkeys(ranks, dur), dict.fromkeys(ranks)
+
+
+def _collective_io_done(engine: Engine, t0: float, ranks: Sequence[int],
+                        ops: dict[int, Any]):
+    """Finalizer of every collective data operation.
+
+    Services the members' requests as one collective operation entered
+    together at ``t0`` and emits each member's :class:`IOEvent`.  Like
+    every finalizer it takes the operation's kind and the file to grow
+    from the lowest member's op.
+    """
+    reqs = []
+    for r in ranks:
+        req = ops[r]["req"]
+        req.start = t0
+        reqs.append(req)
+    durations = engine.platform.service_collective_io(reqs, t0)
+    kind = reqs[0].kind
+    simfile = ops[ranks[0]]["file"]
+    states = engine._states
+    emit = engine.emit_io_event
+    for r, req in zip(ranks, reqs):
+        op = ops[r]
+        f = op["file"]
+        runs = req.runs
+        if kind == "write" and runs:
+            simfile.grow(runs[-1][0] + runs[-1][1])
+        emit(_new_event(IOEvent, (
+            r, f.file_id, f.name, op["name"], op["view_offset"],
+            runs[0][0] if runs else 0, states[r].tick + 1, op["nbytes"], t0,
+            durations[r], kind, True, f.unique)))
+    return durations, dict.fromkeys(ranks)
 
 
 class IORequestHandle:

@@ -28,6 +28,8 @@ Round-trip parity between the three is asserted by
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -295,9 +297,7 @@ class TraceColumns:
                                       dtype="<f8" if name in FLOAT_COLUMNS
                                       else "<i8").copy()
                   for i, name in enumerate(ALL_COLUMNS)}
-        codes = kwargs["op_code"]
-        if n and (codes.min() < 0 or codes.max() >= len(op_table)):
-            raise ValueError(f"{what}: op code outside the op table")
+        _check_columns(kwargs, op_table, what)
         return cls(op_table=op_table, **kwargs)
 
     def save(self, path: str | Path) -> Path:
@@ -324,15 +324,33 @@ class TraceColumns:
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceColumns":
-        """Read a binary trace written by :meth:`save` (either format)."""
+        """Read a binary trace written by :meth:`save` (either format).
+
+        Both formats pass the same checks: a damaged or inconsistent
+        file raises ``ValueError`` naming ``path``; only a file that
+        cannot be opened raises ``OSError``.
+        """
         path = Path(path)
-        if path.suffix == ".npz":
-            with np.load(path) as data:
-                op_table = [str(x) for x in data["op_table"]]
-                kwargs = {name: data[name] for name in ALL_COLUMNS}
-            return cls(op_table=op_table, **kwargs)
+        if path.suffix != ".npz":
+            with path.open("rb") as f:
+                return cls.load_trc(f, what=str(path))
         with path.open("rb") as f:
-            return cls.load_trc(f, what=str(path))
+            try:
+                with np.load(f) as data:
+                    op_table = data["op_table"]
+                    kwargs = {name: data[name] for name in ALL_COLUMNS}
+            # A damaged zip surfaces as any of these (RuntimeError covers
+            # zipfile's NotImplementedError for garbled header fields,
+            # OSError a seek to a garbled offset).
+            except (ValueError, OSError, EOFError, KeyError, RuntimeError,
+                    zipfile.BadZipFile, zlib.error) as exc:
+                raise ValueError(f"{path}: unreadable .npz trace: "
+                                 f"{exc}") from None
+        if op_table.ndim != 1 or op_table.dtype.kind != "U":
+            raise ValueError(f"{path}: op_table is not a list of strings")
+        op_table = [str(x) for x in op_table]
+        _check_columns(kwargs, op_table, str(path))
+        return cls(op_table=op_table, **kwargs)
 
 
 class StreamDigest:
@@ -399,6 +417,24 @@ def _check_header(header, what: str) -> tuple[int, list[str]]:
         raise ValueError(f"{what}: unexpected column layout "
                          f"{header.get('columns')!r}")
     return n, op_table
+
+
+def _check_columns(columns: Mapping[str, np.ndarray], op_table: list[str],
+                   what: str) -> None:
+    """Validate decoded binary columns: one numeric 1-D array per column,
+    all of one length, every op code inside ``op_table``."""
+    n = len(columns["rank"])
+    for name in ALL_COLUMNS:
+        col = columns[name]
+        if col.shape != (n,):
+            raise ValueError(f"{what}: column {name!r} has shape "
+                             f"{col.shape}, expected ({n},)")
+        if col.dtype.kind not in ("iuf" if name in FLOAT_COLUMNS else "iu"):
+            raise ValueError(f"{what}: column {name!r} has dtype "
+                             f"{col.dtype}")
+    codes = columns["op_code"]
+    if n and (codes.min() < 0 or codes.max() >= len(op_table)):
+        raise ValueError(f"{what}: op code outside the op table")
 
 
 # -- text-format parsing ------------------------------------------------------

@@ -89,8 +89,10 @@ DEFAULT_JOBS_CAP = 8
 #: large enough to amortize per-block numpy overhead.
 BLOCK_BYTES = 1 << 22
 
-#: Files below this size are never sharded: process spin-up plus result
-#: pickling costs more than the parse itself.
+#: Bytes a pool job must get at least: a file below this size is never
+#: sharded, and a bundle of per-rank files fans out to at most one job
+#: per this many bytes -- process spin-up plus result pickling costs
+#: more than the parse itself.
 MIN_SHARD_BYTES = 1 << 22
 
 #: Store cache (directory) name for parse-cache entries.
@@ -611,12 +613,17 @@ def ingest_rank_files(paths, *,
     across a process pool (each worker may itself hit the parse cache),
     gathered back in rank order so missing-file notes, quarantine
     entries and strict errors replay exactly as the serial rank-ordered
-    loop produces them.  Serial and parallel outputs -- parts, reports,
-    raises -- are identical.
+    loop produces them.  The pool gets at most one job per
+    ``MIN_SHARD_BYTES`` of the bundle, so a small bundle starts none.
+    Serial and parallel outputs -- parts, reports, raises -- are
+    identical.
     """
     paths = [Path(p) for p in paths]
     njobs = resolve_jobs(jobs)
     salvaging = quarantine is not None and not quarantine.strict
+    if njobs > 1 and len(paths) > 1:
+        size = sum(p.stat().st_size for p in paths if p.is_file())
+        njobs = min(njobs, size // MIN_SHARD_BYTES)
     if njobs > 1 and len(paths) > 1:
         parts = _parallel_rank_files(paths, etype_size, quarantine,
                                      salvaging, njobs, executor)

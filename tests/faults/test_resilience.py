@@ -126,8 +126,8 @@ def test_cap_below_base_clamps_every_delay():
 def test_policy_is_frozen_and_hashable():
     """Policies are shared across threads by the service; they must be
     immutable values, safe to reuse and to key on."""
-    policy = RetryPolicy(max_attempts=2, timeout_s=5.0)
+    policy = RetryPolicy(max_attempts=2, backoff_s=0.5)
     with pytest.raises(Exception):
         policy.max_attempts = 99
-    assert policy == RetryPolicy(max_attempts=2, timeout_s=5.0)
-    assert hash(policy) == hash(RetryPolicy(max_attempts=2, timeout_s=5.0))
+    assert policy == RetryPolicy(max_attempts=2, backoff_s=0.5)
+    assert hash(policy) == hash(RetryPolicy(max_attempts=2, backoff_s=0.5))

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,99 @@ class TestTrcDecoderErrors:
             cols.content_digest()
         header = json.loads(io.BytesIO(blob[len(MAGIC):]).readline())
         assert header["columns"] == list(ALL_COLUMNS)
+
+
+def _npz_arrays() -> dict:
+    cols = TraceColumns.from_records(sample_records(5))
+    arrays = {name: getattr(cols, name) for name in ALL_COLUMNS}
+    arrays["op_table"] = np.array(cols.op_table, dtype=str)
+    return arrays
+
+
+def _write_npz(path, **changes):
+    arrays = {**_npz_arrays(), **changes}
+    np.savez_compressed(path, **{k: v for k, v in arrays.items()
+                                 if v is not None})
+    return path
+
+
+class TestNpzLoadErrors:
+    """``.npz`` bundles pass the same checks as ``.trc``: every damaged
+    or inconsistent file is a ``ValueError`` naming its path."""
+
+    def test_unequal_column_lengths(self, tmp_path):
+        path = _write_npz(tmp_path / "t.npz", op_code=np.zeros(3, np.int64))
+        with pytest.raises(ValueError, match=rf"^{path}: column 'op_code' "
+                           r"has shape \(3,\), expected \(5,\)$"):
+            TraceColumns.load(path)
+
+    def test_short_out_of_table_op_code_column(self, tmp_path):
+        # A 3-row op_code holding code 7 against a 1-entry op table,
+        # next to 5-row columns.
+        path = _write_npz(tmp_path / "t.npz", op_code=np.array([0, 7, 0]),
+                          op_table=np.array(["MPI_File_write_at"]))
+        with pytest.raises(ValueError, match=rf"^{path}: column 'op_code'"):
+            TraceColumns.load(path)
+
+    @pytest.mark.parametrize("name", ["op_table", "time", "abs_offset"])
+    def test_missing_column(self, tmp_path, name):
+        path = _write_npz(tmp_path / "t.npz", **{name: None})
+        with pytest.raises(ValueError, match=rf"^{path}: unreadable .npz "
+                           rf"trace: '{name} is not a file in the archive'$"):
+            TraceColumns.load(path)
+
+    def test_op_code_outside_the_table(self, tmp_path):
+        codes = np.array([0, 1, 2, 3, 0])
+        path = _write_npz(tmp_path / "t.npz", op_code=codes)
+        with pytest.raises(ValueError,
+                           match=rf"^{path}: op code outside the op table$"):
+            TraceColumns.load(path)
+
+    def test_non_numeric_column(self, tmp_path):
+        path = _write_npz(tmp_path / "t.npz", tick=np.array(list("abcde")))
+        with pytest.raises(ValueError, match=rf"^{path}: column 'tick' has "
+                           "dtype"):
+            TraceColumns.load(path)
+
+    def test_non_zip_file(self, tmp_path):
+        path = tmp_path / "t.npz"
+        path.write_bytes(b"not a zip archive at all")
+        with pytest.raises(ValueError, match=rf"^{path}: unreadable .npz"):
+            TraceColumns.load(path)
+
+    @pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, 0.99])
+    def test_truncated_file(self, tmp_path, keep):
+        path = TraceColumns.from_records(sample_records()).save(
+            tmp_path / "t.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(ValueError, match=rf"^{path}: unreadable .npz"):
+            TraceColumns.load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_only_value_error_escapes(self, tmp_path_factory, data):
+        """Truncation and byte flips: a damaged ``.npz`` either still
+        loads or raises ValueError -- nothing else."""
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **_npz_arrays())
+        blob = bytearray(buf.getvalue())
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(blob) - 1),
+                                         min_size=1, max_size=6)):
+                blob[at] = data.draw(st.integers(0, 255))
+        path = tmp_path_factory.mktemp("npz") / "t.npz"
+        path.write_bytes(bytes(blob))
+        try:
+            TraceColumns.load(path)
+        except ValueError:
+            pass
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            TraceColumns.load(tmp_path / "absent.npz")
 
 
 class TestReordering:

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import store
+from repro.tracer import ingest
 from repro.core.executors.base import SerialExecutor
 from repro.tracer.columns import TraceColumns
 from repro.tracer.hooks import TraceBundle
@@ -228,21 +229,30 @@ class TestShardedParity:
         assert_same(par, reference_columns(p))
 
 
+def rank_bundle(tmp_path):
+    """Four small per-rank trace files (~12 KB each)."""
+    return [write_trace(tmp_path, trace_text(200, seed=r),
+                        name=f"trace.{r}") for r in range(4)]
+
+
+@pytest.fixture
+def fan_out_any_size(monkeypatch):
+    """Drop the bundle size floor so a tiny bundle takes the fan-out."""
+    monkeypatch.setattr(ingest, "MIN_SHARD_BYTES", 1)
+
+
+@pytest.mark.usefixtures("fan_out_any_size")
 class TestRankFiles:
     """Bundle-level fan-out: whole files across the pool."""
 
-    def bundle(self, tmp_path, nranks=4):
-        return [write_trace(tmp_path, trace_text(200, seed=r),
-                            name=f"trace.{r}") for r in range(nranks)]
-
     def test_parallel_matches_serial(self, tmp_path):
-        paths = self.bundle(tmp_path)
+        paths = rank_bundle(tmp_path)
         serial = ingest_rank_files(paths, jobs=1)
         par = ingest_rank_files(paths, jobs=4, executor=SerialExecutor())
         assert_same(TraceColumns.concat(par), TraceColumns.concat(serial))
 
     def test_missing_file_notes_match(self, tmp_path):
-        paths = self.bundle(tmp_path)
+        paths = rank_bundle(tmp_path)
         paths[2].unlink()
         q_ser, q_par = QuarantineReport(), QuarantineReport()
         serial = ingest_rank_files(paths, jobs=1, quarantine=q_ser)
@@ -252,10 +262,68 @@ class TestRankFiles:
         assert len(par) == len(serial) == 3
 
     def test_missing_file_raises_oserror_strict(self, tmp_path):
-        paths = self.bundle(tmp_path)
+        paths = rank_bundle(tmp_path)
         paths[1].unlink()
         with pytest.raises(OSError):
             ingest_rank_files(paths, jobs=4, executor=SerialExecutor())
+
+
+class TestRankFileFloor:
+    """A bundle under ``MIN_SHARD_BYTES`` per job starts no pool, and its
+    parts, quarantine entries and strict errors equal the fan-out's."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        from repro.core.executors.pool import PoolExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("started a pool for a tiny bundle")
+
+        monkeypatch.setattr(PoolExecutor, "__init__", refuse)
+
+    @staticmethod
+    def fanned_out(monkeypatch, paths, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(ingest, "MIN_SHARD_BYTES", 1)
+            return ingest_rank_files(paths, jobs=4,
+                                     executor=SerialExecutor(), **kw)
+
+    def test_parts_unchanged(self, tmp_path, monkeypatch, no_pool):
+        paths = rank_bundle(tmp_path)
+        assert sum(p.stat().st_size for p in paths) < ingest.MIN_SHARD_BYTES
+        ref = self.fanned_out(monkeypatch, paths)
+        got = ingest_rank_files(paths, jobs=4)
+        assert len(got) == len(ref) == 4
+        for a, b in zip(got, ref):
+            assert_same(a, b)
+
+    def test_quarantine_entries_unchanged(self, tmp_path, monkeypatch,
+                                          no_pool):
+        paths = rank_bundle(tmp_path)
+        paths[2].unlink()
+        lines = paths[1].read_text().splitlines()
+        lines[5] = "garbage row"
+        paths[1].write_text("\n".join(lines) + "\n")
+        q_ref, q_got = QuarantineReport(), QuarantineReport()
+        ref = self.fanned_out(monkeypatch, paths, quarantine=q_ref)
+        got = ingest_rank_files(paths, jobs=4, quarantine=q_got)
+        assert q_got.entries == q_ref.entries and len(q_got.entries) == 2
+        assert len(got) == len(ref) == 3
+
+    @pytest.mark.parametrize("damage", ["missing", "malformed"])
+    def test_strict_errors_unchanged(self, tmp_path, monkeypatch, no_pool,
+                                     damage):
+        paths = rank_bundle(tmp_path)
+        if damage == "missing":
+            paths[1].unlink()
+        else:
+            paths[1].write_text(paths[1].read_text() + "garbage row\n")
+        with pytest.raises((OSError, ValueError)) as ref:
+            self.fanned_out(monkeypatch, paths)
+        with pytest.raises((OSError, ValueError)) as got:
+            ingest_rank_files(paths, jobs=4)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
 
 
 class TestStreamingChunks:
@@ -403,8 +471,6 @@ class TestHypothesisParity:
 
 def _small_shards(mp):
     """Shard and block a few-KB file (the defaults need megabytes)."""
-    from repro.tracer import ingest
-
     mp.setattr(ingest, "MIN_SHARD_BYTES", 256)
     mp.setattr(ingest, "BLOCK_BYTES", 512)
 
