@@ -16,6 +16,7 @@ from repro.simmpi.engine import Engine
 
 def run_with_monitor():
     cluster = configuration_b()
+    cluster.attach_monitor()
     engine = Engine(16, platform=cluster)
     # Real MADbench2 busy-work (dgemm-scale) is seconds per bin; a long
     # compute stretch makes the inter-phase idle gaps of Fig. 8 visible.

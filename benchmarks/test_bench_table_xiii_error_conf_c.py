@@ -16,6 +16,7 @@ bench's wall time reasonable; it does not change the I/O phases.
 
 from __future__ import annotations
 
+from repro.core.estimate import time_error_pct
 from repro.report.tables import btio_phase_groups, error_table
 
 from bench_common import btio_error_study, once
@@ -25,7 +26,7 @@ def _grouped(ev):
     writes_ch = sum(r.time_ch for r in ev.rows if r.op_label == "W")
     writes_md = sum(r.time_md for r in ev.rows if r.op_label == "W")
     read = next(r for r in ev.rows if r.op_label == "R")
-    err_w = 100 * abs(writes_ch - writes_md) / writes_md
+    err_w = time_error_pct(writes_ch, writes_md)
     err_r = read.time_error_rel_pct
     return writes_ch, writes_md, err_w, read.time_ch, read.time_md, err_r
 

@@ -56,16 +56,17 @@ def main() -> None:
 
     # Fig. 8: run on configuration B with the device monitor attached.
     cluster = configuration_b()
+    monitor = cluster.attach_monitor()
     engine = Engine(16, platform=cluster)
     engine.run(madbench2_program, params)
     print("Fig. 8: device activity on configuration B (iostat-style)")
-    for dev in cluster.monitor.devices():
-        print(device_series_ascii(cluster.monitor, dev, bucket=2.0, width=70))
+    for dev in monitor.devices():
+        print(device_series_ascii(monitor, dev, bucket=2.0, width=70))
 
     if args.outdir:
         written = save_figure_artifacts(Path(args.outdir), "madbench2",
                                         bundle=bundle, model=model,
-                                        monitor=cluster.monitor)
+                                        monitor=monitor)
         print("\nartifacts:")
         for path in written:
             print(f"  {path}")

@@ -167,19 +167,33 @@ def run_ior(platform: Platform, params: IORParams) -> IORResult:
             return IORResult(params=params, bw_mb_s=dict(hit.bw_mb_s),
                              times=dict(hit.times), elapsed=hit.elapsed)
 
-    events: list[IOEvent] = []
+    # kind -> [first start, last end, bytes], folded as each event is
+    # emitted: no event is kept.
+    spans: dict[str, list] = {}
+
+    def fold(e: IOEvent) -> None:
+        t = e.time
+        end = t + e.duration
+        acc = spans.get(e.kind)
+        if acc is None:
+            spans[e.kind] = [t, end, e.request_size]
+            return
+        if t < acc[0]:
+            acc[0] = t
+        if end > acc[1]:
+            acc[1] = end
+        acc[2] += e.request_size
+
     engine = Engine(params.np, platform=platform)
-    engine.add_io_hook(events.append)
+    engine.add_io_hook(fold)
     run = engine.run(ior_program, params)
 
     result = IORResult(params=params, elapsed=run.elapsed)
     for kind in params.kinds:
-        evs = [e for e in events if e.kind == kind]
-        if not evs:
+        acc = spans.get(kind)
+        if acc is None:
             continue
-        begin = min(e.time for e in evs)
-        end = max(e.time + e.duration for e in evs)
-        nbytes = sum(e.request_size for e in evs)
+        begin, end, nbytes = acc
         span = max(end - begin, 1e-12)
         result.times[kind] = span
         result.bw_mb_s[kind] = nbytes / MB / span

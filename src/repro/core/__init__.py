@@ -23,6 +23,7 @@ from .estimate import (
     relative_error,
     select_configuration,
     system_usage,
+    time_error_pct,
 )
 from .lap import LAPEntry, LAPOp, expand_entry, extract_laps
 from .model import IOModel, models_equivalent
@@ -124,6 +125,7 @@ __all__ = [
     "models_equivalent",
     "peak_bandwidth",
     "relative_error",
+    "time_error_pct",
     "dominant_signature",
     "estimate_phase_replayed",
     "replay_phase",

@@ -251,6 +251,12 @@ def relative_error(bw_ch: float, bw_md: float) -> float:
     return 100.0 * absolute_error(bw_ch, bw_md) / bw_md
 
 
+def time_error_pct(t_ch: float, t_md: float) -> float:
+    """Relative error of an estimated I/O time against the measured one,
+    in percent (Tables XIII/XIV); a zero measured time counts as 1e-12 s."""
+    return 100.0 * abs(t_ch - t_md) / max(t_md, 1e-12)
+
+
 @dataclass
 class ConfigurationChoice:
     """Outcome of the selection step: least estimated I/O time wins."""

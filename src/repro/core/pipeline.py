@@ -33,6 +33,7 @@ from .estimate import (
     peak_bandwidth,
     relative_error,
     system_usage,
+    time_error_pct,
 )
 from .executors import Executor
 from .model import IOModel
@@ -206,7 +207,7 @@ class EvaluationRow:
     @property
     def time_error_rel_pct(self) -> float:
         """Relative error expressed on times (Tables XIII/XIV)."""
-        return 100.0 * abs(self.time_ch - self.time_md) / max(self.time_md, 1e-12)
+        return time_error_pct(self.time_ch, self.time_md)
 
 
 @dataclass
@@ -226,8 +227,7 @@ class Evaluation:
 
     @property
     def total_time_error_pct(self) -> float:
-        return 100.0 * abs(self.total_time_ch - self.total_time_md) / \
-            max(self.total_time_md, 1e-12)
+        return time_error_pct(self.total_time_ch, self.total_time_md)
 
 
 def evaluate(model: IOModel, estimate: EstimateReport, measure: MeasureReport,

@@ -2,9 +2,10 @@
 
 A :class:`Cluster` is one "I/O configuration" in the paper's sense
 (Tables VI/VII): it binds compute nodes, networks, I/O nodes and a
-global filesystem, implements the engine's :class:`~repro.simmpi.engine.
-Platform` protocol, and carries the device monitor for iostat-style
-observation (Fig. 8).
+global filesystem and implements the engine's :class:`~repro.simmpi.engine.
+Platform` protocol.  iostat-style observation (Fig. 8) is on demand:
+:meth:`Cluster.attach_monitor` hangs a device monitor on every disk;
+until then ``monitor`` is ``None`` and no per-transfer sample is built.
 """
 
 from __future__ import annotations
@@ -59,8 +60,18 @@ class Cluster:
         self.compute_net = compute_net
         self.description = description
         self.cb_nodes = cb_nodes
-        self.monitor = DeviceMonitor()
-        globalfs.attach_monitor(self.monitor)
+        self.monitor: DeviceMonitor | None = None
+
+    def attach_monitor(self) -> DeviceMonitor:
+        """Record every disk transfer from now on (Fig. 8 series).
+
+        Returns ``self.monitor``, creating and attaching it on the first
+        call.
+        """
+        if self.monitor is None:
+            self.monitor = DeviceMonitor()
+            self.globalfs.attach_monitor(self.monitor)
+        return self.monitor
 
     # -- Platform protocol ------------------------------------------------------
     def node_of_rank(self, rank: int, nranks: int) -> int:
@@ -70,8 +81,8 @@ class Cluster:
     def service_io(self, req: IORequest) -> float:
         """One independent I/O operation; returns its duration."""
         client = self.compute_nodes[req.node % len(self.compute_nodes)]
-        access = Access(start=req.start, client=client, runs=list(req.runs),
-                        kind=req.kind, file_id=req.file_id)
+        access = Access(req.start, client, req.runs, req.kind, req.file_id,
+                        req.nbytes)
         end = self.globalfs.service(access)
         if obs.ACTIVE:
             obs.inc("globalfs_accesses_total", config=self.name,
@@ -118,7 +129,8 @@ class Cluster:
         self.globalfs.reset()
         for node in self.compute_nodes:
             node.nic.reset()
-        self.monitor.clear()
+        if self.monitor is not None:
+            self.monitor.clear()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Cluster({self.name}, {len(self.compute_nodes)} compute nodes, "

@@ -92,8 +92,8 @@ def two_phase_io(
         for req, client in zip(reqs, clients):
             if not req.runs:
                 continue
-            acc = Access(start=start, client=client, runs=list(req.runs),
-                         kind=req.kind, file_id=req.file_id)
+            acc = Access(start, client, req.runs, req.kind, req.file_id,
+                         req.nbytes)
             end = max(end, globalfs.service(acc))
         return end
 

@@ -7,16 +7,18 @@ The disk is the leaf of the simulated I/O stack.  Costs:
   one on this disk ended (``seek_ms`` + half-rotation latency);
 * per-request controller overhead (``op_overhead_ms``).
 
-Each transfer is recorded with the owning :class:`~repro.iosim.monitor.
-DeviceMonitor` (if attached) so iostat-style series (Fig. 8: sectors/s
-and %busy per device) can be produced.
+Every transfer feeds the ``device_*`` counters of :mod:`repro.obs`
+(when observation is on).  Per-transfer samples for iostat-style series
+(Fig. 8: sectors/s and %busy per device) are kept only when a caller
+attached a :class:`~repro.iosim.monitor.DeviceMonitor`
+(:meth:`repro.iosim.cluster.Cluster.attach_monitor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import faults
+from repro import faults, obs
 from repro.faults import DiskFailure
 
 from .resource import Resource
@@ -49,7 +51,7 @@ class Disk:
 
     name: str
     spec: DiskSpec = field(default_factory=DiskSpec)
-    monitor: "object | None" = None  # DeviceMonitor, set by the cluster
+    monitor: "object | None" = None  # DeviceMonitor, attached on demand
 
     def __post_init__(self) -> None:
         self.resource = Resource(self.name)
@@ -81,9 +83,12 @@ class Disk:
         # Near-sequential accesses (short same-track skips, e.g. journal
         # padding) do not pay a full seek.
         head = self._head
-        if head is None or (abs(offset - head) > 64 * 1024
-                            and abs(offset - head) > nbytes // 4):
+        if head is None:
             cost += seek_s
+        else:
+            gap = abs(offset - head)
+            if gap > 64 * 1024 and gap > nbytes // 4:
+                cost += seek_s
         if fragments > 1:  # "+= 0.0" would leave the cost as it is
             cost += (fragments - 1) * seek_s
         if slow != 1.0:
@@ -92,6 +97,8 @@ class Disk:
             cost *= slow
         self._head = offset + nbytes
         begin, end = self.resource.acquire(start, cost)
+        if obs.ACTIVE:
+            obs.observe_device_transfer(self.name, begin, end, nbytes, kind)
         if self.monitor is not None:
             self.monitor.record(self.name, begin, end, nbytes, kind)
         return end

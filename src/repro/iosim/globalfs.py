@@ -32,19 +32,24 @@ from .nodes import ComputeNode, IONode
 Run = tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Access:
-    """One client-side I/O access presented to a global filesystem."""
+    """One client-side I/O access presented to a global filesystem.
+
+    ``nbytes`` is the total of ``runs``, summed once here unless the
+    caller passes it.
+    """
 
     start: float
     client: ComputeNode
     runs: list[Run]
     kind: str  # "write" | "read"
     file_id: int = 0
-    nbytes: int = field(init=False, repr=False)
+    nbytes: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.nbytes = sum(length for _, length in self.runs)
+        if self.nbytes is None:
+            self.nbytes = sum(length for _, length in self.runs)
 
 
 def stripe_shares(offset: int, length: int, stripe_bytes: int, n: int) -> list[int]:

@@ -5,6 +5,13 @@ The paper monitors I/O devices with ``iostat -x -p 1`` on every I/O node
 the application's I/O phases).  :class:`DeviceMonitor` collects one
 sample per device transfer in *virtual* time and aggregates them into
 per-second buckets, exactly what the figure plots.
+
+Samples are per-event detail, so they are kept only on demand: a
+:class:`~repro.iosim.cluster.Cluster` has no monitor until a caller
+asks for one with :meth:`~repro.iosim.cluster.Cluster.attach_monitor`.
+The always-on aggregates (the ``device_*`` counters of
+:mod:`repro.obs`) are fed by :meth:`repro.iosim.device.Disk.transfer`
+itself, monitor or not.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from repro import obs
 
 from .device import SECTOR_BYTES
 
@@ -59,11 +64,6 @@ class DeviceMonitor:
     def record(self, device: str, begin: float, end: float, nbytes: int, kind: str) -> None:
         self.samples.append(_new_sample(TransferSample,
                                         (device, begin, end, nbytes, kind)))
-        # The monitor doubles as the device-level feed of the metrics
-        # registry: consumers read device totals from ``repro.obs``
-        # counters instead of poking at the private sample list.
-        if obs.ACTIVE:
-            obs.observe_device_transfer(device, begin, end, nbytes, kind)
 
     def devices(self) -> list[str]:
         return sorted({s.device for s in self.samples})

@@ -74,8 +74,9 @@ class Link:
         self._fault_names = (name,) if owner == name else (name, owner)
 
     def cost(self, nbytes: int, at: float = 0.0) -> float:
-        bw = self.spec.bw_at(at)
-        latency = self.spec.latency_s
+        spec = self.spec
+        bw = spec.bw_at(at) if spec.load_amplitude else spec.bw_mb_s
+        latency = spec.latency_s
         if faults.ACTIVE:
             bw_factor, extra_latency = faults.plan().link_state(
                 self._fault_names, at)

@@ -350,35 +350,41 @@ class RAID5(_ParityVolume):
     def _data_disks(self) -> int:
         return len(self.disks) - 1
 
-    @property
-    def full_stripe_bytes(self) -> int:
-        return self.stripe_kb * 1024 * self._data_disks
-
     def transfer(self, start: float, offset: int, nbytes: int, kind: str,
                  locator: int = 0, fragments: int = 1) -> float:
         disks = self.disks
         n = len(disks)
-        data_disks = self._data_disks
+        data_disks = n - 1
         member_off = offset // data_disks
-        dead = self._dead_at(start)
+        dead = self._dead_at(start) if faults.ACTIVE else self._failed
         if dead:
             self._check_tolerance(dead)
+        # Every member transfer ends at or after ``start``, so folding
+        # from ``start`` yields the latest member's end.
+        end = start
         if kind == "read":
             if dead:
                 return self._degraded_read(start, member_off, nbytes, dead,
                                            fragments)
             per_disk = max(1, int(nbytes / data_disks))
-            return max([d.transfer(start, member_off, per_disk, "read",
-                                   fragments)
-                        for d in disks[:-1]])
-        if nbytes >= self.full_stripe_bytes:
+            for i in range(data_disks):
+                e = disks[i].transfer(start, member_off, per_disk, "read",
+                                      fragments)
+                if e > end:
+                    end = e
+            return end
+        if nbytes >= self.stripe_kb * 1024 * data_disks:
             # Full-stripe write: parity computed in memory, each member
             # (including the parity position) writes its share; a dead
             # member's share is simply dropped (rebuilt later).
             share = self._inflate(nbytes / data_disks)
-            return max([d.transfer(start, member_off, share, "write",
-                                   fragments)
-                        for i, d in enumerate(disks) if i not in dead])
+            for i in range(n):
+                if i not in dead:
+                    e = disks[i].transfer(start, member_off, share, "write",
+                                          fragments)
+                    if e > end:
+                        end = e
+            return end
         # Read-modify-write: old data + old parity read, new data + parity
         # written -- modelled as doubled traffic on two members.
         data_i, parity_i = locator % n, (locator + 1) % n
@@ -386,11 +392,12 @@ class RAID5(_ParityVolume):
             return self._degraded_rmw(start, member_off, nbytes,
                                       [data_i, parity_i], dead)
         rb = self._inflate(nbytes)
-        end = start
         for i in (data_i, parity_i):
             d = disks[i]
-            e1 = d.transfer(start, member_off, rb, "read")
-            end = max(end, d.transfer(e1, member_off, rb, "write"))
+            e = d.transfer(d.transfer(start, member_off, rb, "read"),
+                           member_off, rb, "write")
+            if e > end:
+                end = e
         return end
 
     def _peak_bw(self, kind: str) -> float:
@@ -427,41 +434,48 @@ class RAID6(_ParityVolume):
     def _data_disks(self) -> int:
         return len(self.disks) - 2
 
-    @property
-    def full_stripe_bytes(self) -> int:
-        return self.stripe_kb * 1024 * self._data_disks
-
     def transfer(self, start: float, offset: int, nbytes: int, kind: str,
                  locator: int = 0, fragments: int = 1) -> float:
-        member_off = offset // self._data_disks
-        dead = self._dead_at(start)
-        self._check_tolerance(dead)
+        disks = self.disks
+        n = len(disks)
+        data_disks = n - 2
+        member_off = offset // data_disks
+        dead = self._dead_at(start) if faults.ACTIVE else self._failed
+        if dead:
+            self._check_tolerance(dead)
+        end = start  # see RAID5.transfer
         if kind == "read":
             if dead:
                 return self._degraded_read(start, member_off, nbytes, dead,
                                            fragments)
-            per_disk = max(1, nbytes // self._data_disks)
-            return max(d.transfer(start, member_off, per_disk, "read",
-                                  fragments=fragments)
-                       for d in self.disks[:-2])
-        if nbytes >= self.full_stripe_bytes:
-            per_disk = max(1, nbytes // self._data_disks)
-            return max(d.transfer(start, member_off,
-                                  self._inflate(per_disk), "write",
-                                  fragments=fragments)
-                       for i, d in enumerate(self.disks) if i not in dead)
+            per_disk = max(1, nbytes // data_disks)
+            for i in range(data_disks):
+                e = disks[i].transfer(start, member_off, per_disk, "read",
+                                      fragments)
+                if e > end:
+                    end = e
+            return end
+        if nbytes >= self.stripe_kb * 1024 * data_disks:
+            share = self._inflate(max(1, nbytes // data_disks))
+            for i in range(n):
+                if i not in dead:
+                    e = disks[i].transfer(start, member_off, share, "write",
+                                          fragments)
+                    if e > end:
+                        end = e
+            return end
         # Read-modify-write touches data + P + Q: 6 accesses for 3.
-        n = len(self.disks)
         members = [(locator + k) % n for k in range(3)]
         if dead and any(i in dead for i in members):
             return self._degraded_rmw(start, member_off, nbytes, members,
                                       dead)
-        end = start
+        rb = self._inflate(nbytes)
         for i in members:
-            d = self.disks[i]
-            e1 = d.transfer(start, member_off, self._inflate(nbytes), "read")
-            e2 = d.transfer(e1, member_off, self._inflate(nbytes), "write")
-            end = max(end, e2)
+            d = disks[i]
+            e = d.transfer(d.transfer(start, member_off, rb, "read"),
+                           member_off, rb, "write")
+            if e > end:
+                end = e
         return end
 
     def _peak_bw(self, kind: str) -> float:

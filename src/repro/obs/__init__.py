@@ -310,7 +310,7 @@ def observe_resource_wait(resource: str, wait: float, cost: float) -> None:
 
 def observe_device_transfer(device: str, begin: float, end: float,
                             nbytes: int, kind: str) -> None:
-    """Device-level transfer accounting (fed by DeviceMonitor.record)."""
+    """Device-level transfer accounting (fed by ``Disk.transfer``)."""
     if not ACTIVE:
         return
     reg = _registry

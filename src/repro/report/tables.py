@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.estimate import time_error_pct
 from repro.core.model import IOModel
 from repro.core.pipeline import Evaluation
 from repro.iosim.cluster import ClusterDescription
@@ -133,8 +134,8 @@ def error_table(evaluation: Evaluation, groups: dict[str, Sequence[int]],
     for label, ids in groups.items():
         t_ch = sum(by_id[i].time_ch for i in ids if i in by_id)
         t_md = sum(by_id[i].time_md for i in ids if i in by_id)
-        err = 100.0 * abs(t_ch - t_md) / max(t_md, 1e-12)
-        rows.append([label, f"{t_ch:.2f}", f"{t_md:.2f}", f"{err:.0f}%"])
+        rows.append([label, f"{t_ch:.2f}", f"{t_md:.2f}",
+                     f"{time_error_pct(t_ch, t_md):.0f}%"])
     return render(["Phase", "Time_io(CH)", "Time_io(MD)", "error_rel"], rows,
                   title=title or f"Estimation error on {evaluation.config_name}")
 

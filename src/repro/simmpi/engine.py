@@ -54,12 +54,14 @@ _DONE = "done"
 _FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class IORequest:
     """One rank's part of an I/O operation, as seen by the platform.
 
     ``runs`` are absolute ``(offset, length)`` byte ranges in the file --
-    already mapped through the rank's file view.
+    already mapped through the rank's file view.  ``runs`` is fixed at
+    construction (only ``start`` is mutated at service time); ``nbytes``
+    is their total, summed once here unless the caller passes it.
     """
 
     rank: int
@@ -71,12 +73,11 @@ class IORequest:
     start: float
     collective: bool = False
     unique_file: bool = False
-    nbytes: int = field(init=False, repr=False)
+    nbytes: int | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # ``runs`` is fixed at construction (only ``start`` is mutated at
-        # service time), so the byte count is computed once, eagerly.
-        self.nbytes = sum(length for _, length in self.runs)
+        if self.nbytes is None:
+            self.nbytes = sum(length for _, length in self.runs)
 
 
 class Platform(Protocol):
@@ -149,10 +150,12 @@ class _Collective:
 class Comm:
     """A communicator: an ordered set of world ranks.
 
-    ``rank(world_rank)`` gives the rank *within* the communicator.  The
-    engine keys collective matching on the communicator identity plus a
-    per-rank entry counter, and raises :class:`CollectiveMismatch` when
-    members disagree on the operation.
+    ``world_ranks`` lists the members in communicator-rank order (the
+    order ``split`` derives from its ``key``), and ``rank(world_rank)``
+    gives the rank *within* the communicator.  The engine keys
+    collective matching on the communicator identity plus a per-rank
+    entry counter, and raises :class:`CollectiveMismatch` when members
+    disagree on the operation.
     """
 
     _next_id = 0
@@ -160,7 +163,9 @@ class Comm:
     def __init__(self, world_ranks: Sequence[int], name: str = "comm"):
         if len(set(world_ranks)) != len(world_ranks):
             raise MPIUsageError("communicator ranks must be unique")
-        self.world_ranks = tuple(sorted(world_ranks))
+        self.world_ranks = tuple(world_ranks)
+        #: The members by world rank: finalizers read the lowest one's op.
+        self._sorted = tuple(sorted(self.world_ranks))
         self._members = frozenset(self.world_ranks)
         self.name = name
         self.cid = Comm._next_id
@@ -456,7 +461,7 @@ class Engine:
     def _finalize_collective(self, coll: _Collective) -> None:
         ops = coll.arrived
         # Every member arrived: the sorted member list is the comm's own.
-        ranks = coll.comm.world_ranks
+        ranks = coll.comm._sorted
         states = self._states
         parts = [states[r] for r in ranks]
         t0 = max([p.clock for p in parts])

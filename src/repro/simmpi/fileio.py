@@ -310,6 +310,7 @@ class SimFileHandle:
             start=0.0,  # filled at service time
             collective=collective,
             unique_file=self.file.unique,
+            nbytes=nbytes,  # the view maps exactly nbytes bytes
         )
 
     def _serve(self, req: IORequest, op_name: str, offset: int, nbytes: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.iosim.device import MB
 from repro.simmpi.engine import Engine, IORequest
 
@@ -43,21 +44,49 @@ class TestService:
 
     def test_monitor_attached_to_all_disks(self):
         cluster = make_pvfs_cluster(n_ions=3)
+        monitor = cluster.attach_monitor()
+        assert cluster.attach_monitor() is monitor is cluster.monitor
         cluster.service_io(self._req(nbytes=10 * MB))
-        assert len(cluster.monitor.devices()) >= 2  # striped over ions
+        assert len(monitor.devices()) >= 2  # striped over ions
 
     def test_reset_clears_queues_and_monitor(self):
         cluster = make_nfs_cluster()
+        cluster.attach_monitor()
         cluster.service_io(self._req(nbytes=10 * MB))
         assert cluster.monitor.samples
         cluster.reset()
         assert not cluster.monitor.samples
         assert cluster.globalfs.ions[0].nic.resource.next_free == 0.0
 
+    def test_device_counters_need_no_monitor(self):
+        """The ``device_*`` counters count every disk transfer with no
+        monitor attached, and once per transfer with one attached."""
+        def transfers_counted(cluster):
+            _, reg = obs.enable()
+            try:
+                for r in range(4):
+                    cluster.service_io(self._req(nbytes=3 * MB, rank=r))
+                    cluster.service_io(self._req(kind="read", rank=r))
+            finally:
+                obs.disable()
+            fam = reg.get("device_transfers_total")
+            return sum(child.value for _, child in fam.samples())
+
+        bare = make_pvfs_cluster(n_ions=3)
+        counted = transfers_counted(bare)
+        assert bare.monitor is None
+        disks = [d for ion in bare.globalfs.ions for d in ion.fs.volume.disks]
+        assert counted == sum(d.resource.total_requests for d in disks) > 0
+
+        watched = make_pvfs_cluster(n_ions=3)
+        monitor = watched.attach_monitor()
+        assert transfers_counted(watched) == len(monitor.samples) == counted
+
 
 class TestEndToEnd:
     def test_engine_run_on_cluster(self):
         cluster = make_nfs_cluster()
+        cluster.attach_monitor()
 
         def program(ctx):
             fh = yield from ctx.file_open("f")

@@ -120,6 +120,8 @@ class TestTwoPhase:
         """Regression: ranks writing their own files at identical offsets
         must move np x nbytes, not collapse into one merged region."""
         shared_cluster, unique_cluster = make_nfs_cluster(), make_nfs_cluster()
+        shared_cluster.attach_monitor()
+        unique_cluster.attach_monitor()
         nbytes = 20 * MB
         shared = [
             IORequest(rank=r, node=r, filename="f", file_id=0, kind="write",

@@ -65,7 +65,7 @@ def every_verb(ctx, out):
     out.append(("sub-allreduce", (yield from ctx.allreduce(
         10 * rank, nbytes=8 * KB, comm=sub))))
     out.append(("sub-bcast", (yield from ctx.bcast(
-        rank, root=sub.world_ranks[-1], comm=sub))))
+        rank, root=max(sub.world_ranks), comm=sub))))
     yield from ctx.barrier(sub)
     right, left = (rank + 1) % ctx.size, (rank - 1) % ctx.size
     out.append(("sendrecv", (yield from ctx.sendrecv(
@@ -102,7 +102,8 @@ RESULTS = {
         ("scatter", f"s{r}"),
         ("allgather", [0, 1, 4, 9]),
         ("alltoall", None),
-        ("split", (r % 2, r % 2 + 2), r // 2),
+        # key=-rank orders each half by descending world rank
+        ("split", (r % 2 + 2, r % 2), 1 - r // 2),
         ("sub-allreduce", 20 if r % 2 == 0 else 40),
         ("sub-bcast", r % 2 + 2),
         ("sendrecv", f"r{(r - 1) % NPROCS}")]
