@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Hashable
 
 from repro.simmpi.context import RankContext
 from repro.simmpi.engine import Engine, Platform
@@ -145,15 +146,30 @@ def run_ior(platform: Platform, params: IORParams) -> IORResult:
 
     Results are memoized by ``(params, platform fingerprint)``: the run
     is a pure function of both, so replaying the same phase against a
-    structurally identical configuration (the common case inside
-    ``estimate_model`` / ``full_study`` sweeps) returns the cached
-    bandwidths without re-simulating.  Platforms without a
-    ``fingerprint()`` method opt out.
+    structurally identical configuration returns the cached bandwidths
+    without re-simulating.  Platforms without a ``fingerprint()`` method
+    opt out.  Replays from a cluster factory call
+    :func:`run_ior_memoized`, which builds no cluster on a hit.
+    """
+    from repro.core import cache as simcache  # late: avoids an import cycle
+
+    return run_ior_memoized(lambda: platform, params,
+                            simcache.platform_fingerprint(platform))
+
+
+def run_ior_memoized(build: Callable[[], Platform], params: IORParams,
+                     fp: Hashable | None) -> IORResult:
+    """IOR on the platform ``build()`` returns, whose fingerprint is ``fp``.
+
+    One ``"ior"`` memo lookup per run, keyed by ``(params without their
+    filename, fp)``; ``build`` is called only on a miss.  The stored key
+    holds ``fp`` itself, so entries keyed by a shared fingerprint
+    (``cache.factory_fingerprint``) share one copy.  ``fp=None`` opts
+    out of the memo.
     """
     from repro.core import cache as simcache  # late: avoids an import cycle
 
     memo = simcache.cache("ior")
-    fp = simcache.platform_fingerprint(platform)
     # The filename only labels the simulated trace; normalize it away so
     # per-phase replications (ior.phase0, ior.phase1, ...) with the same
     # geometry share one cache entry.
@@ -166,7 +182,17 @@ def run_ior(platform: Platform, params: IORParams) -> IORResult:
             # from the entry's).
             return IORResult(params=params, bw_mb_s=dict(hit.bw_mb_s),
                              times=dict(hit.times), elapsed=hit.elapsed)
+    result = _simulate(build(), params)
+    if key is not None:
+        memo.store(key, IORResult(params=result.params,
+                                  bw_mb_s=dict(result.bw_mb_s),
+                                  times=dict(result.times),
+                                  elapsed=result.elapsed))
+    return result
 
+
+def _simulate(platform: Platform, params: IORParams) -> IORResult:
+    """One IOR run on ``platform``, no memo."""
     # kind -> [first start, last end, bytes], folded as each event is
     # emitted: no event is kept.
     spans: dict[str, list] = {}
@@ -197,9 +223,4 @@ def run_ior(platform: Platform, params: IORParams) -> IORResult:
         span = max(end - begin, 1e-12)
         result.times[kind] = span
         result.bw_mb_s[kind] = nbytes / MB / span
-    if key is not None:
-        memo.store(key, IORResult(params=result.params,
-                                  bw_mb_s=dict(result.bw_mb_s),
-                                  times=dict(result.times),
-                                  elapsed=result.elapsed))
     return result

@@ -38,13 +38,22 @@ exit and are shared by concurrent ``sweep_map`` workers.  Keys that
 have no deterministic byte encoding simply stay in-memory-only.
 ``clear_all()`` drops the in-memory tier only; the disk tier is managed
 through ``repro-io cache clear`` / ``ResultStore.clear``.
+
+A fingerprint says nothing about an installed fault plan
+(:mod:`repro.faults`), so while one is active every lookup misses and
+every insert is dropped, in memory and in the store.
+
+Replays look the memo up before building anything: the key is (params,
+:func:`factory_fingerprint`), one shared tuple per factory object, so a
+hit builds no cluster and compares keys by identity.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Hashable
 
-from repro import obs
+from repro import faults, obs
 from repro import store as _store
 
 _MISS = object()  # sentinel: lookup found nothing (None is a valid value)
@@ -64,7 +73,7 @@ class SimCache:
 
     def lookup(self, key: Hashable) -> Any:
         """Return the cached value or the module sentinel ``_MISS``."""
-        if not _enabled:
+        if not _enabled or faults.ACTIVE:
             return _MISS
         value = self._data.get(key, _MISS)
         if value is _MISS:
@@ -89,7 +98,7 @@ class SimCache:
         return value
 
     def store(self, key: Hashable, value: Any) -> None:
-        if not _enabled:
+        if not _enabled or faults.ACTIVE:
             return
         self._data[key] = value
         disk = _store.active()
@@ -161,10 +170,37 @@ def stats() -> dict[str, dict[str, int]]:
 # fingerprints
 # ---------------------------------------------------------------------------
 
-#: Factory object -> fingerprint of the cluster it builds.  Building a
-#: cluster is cheap but not free; sweeps call the same factory hundreds
-#: of times, so the fingerprint is derived once per factory object.
-_factory_fps: dict[Any, Hashable] = {}
+class FactoryMemo:
+    """One value derived from the cluster a factory builds, per factory.
+
+    ``get(factory, derive)`` returns ``derive(factory())`` and builds the
+    cluster only the first time it sees ``factory``.  Factories are held
+    weakly: when a sweep drops its factories their entries go too.  A
+    callable that cannot be weakly referenced (or hashed) is simply not
+    memoized.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self):
+        self._data: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def get(self, factory: Callable[[], Any], derive: Callable[[Any], Any]
+            ) -> Any:
+        try:
+            hit = self._data.get(factory, _MISS)
+        except TypeError:  # not weakly referenceable, or unhashable
+            return derive(factory())
+        if hit is _MISS:
+            hit = self._data[factory] = derive(factory())
+        return hit
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+#: Factory object -> fingerprint of the cluster it builds.
+_factory_fps = FactoryMemo()
 
 
 def platform_fingerprint(platform: Any) -> Hashable | None:
@@ -180,13 +216,9 @@ def platform_fingerprint(platform: Any) -> Hashable | None:
 
 
 def factory_fingerprint(factory: Callable[[], Any]) -> Hashable | None:
-    """Fingerprint of the cluster a factory builds, memoized per factory."""
-    try:
-        hit = _factory_fps.get(factory, _MISS)
-    except TypeError:  # unhashable callable
-        return platform_fingerprint(factory())
-    if hit is not _MISS:
-        return hit
-    fp = platform_fingerprint(factory())
-    _factory_fps[factory] = fp
-    return fp
+    """Fingerprint of the cluster a factory builds, memoized per factory.
+
+    Memo keys built from it (``"ior"``: params plus this fingerprint)
+    share the one tuple instead of holding a fresh copy each.
+    """
+    return _factory_fps.get(factory, platform_fingerprint)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.apps.ior import run_ior
+from repro.apps.ior import run_ior_memoized
 from repro.apps.iozone import IOzoneParams, run_iozone
 from repro.iosim.cluster import Cluster
 
+from . import cache as simcache
 from .phases import Phase
 from .replication import PhaseReplication, replication_for_phase
 
@@ -132,12 +133,17 @@ def estimate_phase(phase: Phase, cluster_factory: ClusterFactory) -> PhaseEstima
     Multi-operation phases run one IOR test per operation type; BW_CH is
     the average of the per-type bandwidths (the paper's rule for phases
     with two or more I/O operations).
+
+    Each IOR run is memoized by (params, the factory's shared
+    fingerprint, :func:`repro.core.cache.factory_fingerprint`), looked
+    up before anything is built: the factory builds a fresh cluster
+    only on a miss.
     """
     repl: PhaseReplication = replication_for_phase(phase)
+    fp = simcache.factory_fingerprint(cluster_factory)
     bw_by_kind: dict[str, float] = {}
     for params in repl.runs:
-        cluster = cluster_factory()
-        result = run_ior(cluster, params)
+        result = run_ior_memoized(cluster_factory, params, fp)
         (kind,) = params.kinds
         bw_by_kind[kind] = result.bw(kind)
     bw_ch = sum(bw_by_kind.values()) / len(bw_by_kind)

@@ -51,6 +51,7 @@ from repro.iosim.cluster import Cluster
 from repro.iosim.globalfs import NFS, PVFS2, Lustre
 from repro.iosim.raid import JBOD, RAID0, RAID1, RAID5, RAID6, RAID10
 
+from .cache import FactoryMemo
 from .phases import Phase
 from .replication import replication_for_phase
 
@@ -155,6 +156,11 @@ def extract_row(cluster: Cluster) -> dict[str, float]:
     return row
 
 
+#: Factory object -> its cluster's lattice row (rows are read, never
+#: mutated, so every ``from_factories`` call shares them).
+_factory_rows = FactoryMemo()
+
+
 @dataclass
 class LatticeParams:
     """Structured parameter arrays over N candidate configurations."""
@@ -175,15 +181,14 @@ class LatticeParams:
         return cls(names=list(names), cols=cols)
 
     @classmethod
-    def from_clusters(cls, clusters: dict[str, Cluster]) -> "LatticeParams":
-        rows = [extract_row(c) for c in clusters.values()]
-        return cls.from_rows(list(clusters.keys()), rows)
-
-    @classmethod
     def from_factories(cls, factories: dict[str, Callable[[], Cluster]]
                        ) -> "LatticeParams":
-        """Build each candidate once and flatten it into the lattice."""
-        return cls.from_clusters({name: f() for name, f in factories.items()})
+        """Flatten each candidate into the lattice: one extracted row
+        per factory object (memoized like its fingerprint), so a repeat
+        selection over the same factories builds no cluster."""
+        return cls.from_rows(list(factories),
+                             [_factory_rows.get(f, extract_row)
+                              for f in factories.values()])
 
     def groups(self):
         """(gfs, level) -> index array; kernel branches are uniform

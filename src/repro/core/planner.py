@@ -16,7 +16,9 @@ The planner lifts both dedups above the sweep: it collects every
 keeps one :class:`ReplayJob` per unique pair, executes only those --
 optionally in parallel via :func:`~repro.core.sweep.sweep_map`, each
 warm-started from the persistent store (:mod:`repro.store`) because the
-IOR runs inside are memoized -- and fans the results back out into one
+IOR runs inside are memoized by (params, the factory's shared
+fingerprint) and a job builds its cluster only on a memo miss -- and
+fans the results back out into one
 :class:`~repro.core.estimate.EstimateReport` per configuration, ordered
 exactly as ``estimate_model`` would have produced it.
 
@@ -56,12 +58,22 @@ def phase_signature(phase: Phase) -> tuple:
             tuple((o.op, o.request_size) for o in phase.ops))
 
 
-def _job_name(config_name: str, sig: tuple, fp: Hashable | None) -> str:
-    """Deterministic, filesystem-safe job id (stable across processes,
-    usable as a ``sweep_map`` checkpoint name)."""
+def _job_scope(config_name: str, fp: Hashable | None):
+    """A configuration's job-name scope: a sha1 fed ``repr(fp)`` (or
+    ``config:<name>``) and ``|``.  Built once per configuration, since a
+    fingerprint's repr runs to tens of KB; each job name hashes on from
+    a copy of it."""
     scope = repr(fp) if fp is not None else f"config:{config_name}"
-    digest = hashlib.sha1(f"{scope}|{sig!r}".encode()).hexdigest()[:12]
-    return f"replay-{digest}"
+    return hashlib.sha1(f"{scope}|".encode())
+
+
+def _job_name(scope, sig_repr: bytes) -> str:
+    """Deterministic, filesystem-safe job id: the first 12 hex digits of
+    sha1 of ``<scope>|<repr(signature)>`` (stable across processes,
+    usable as a ``sweep_map`` checkpoint name)."""
+    h = scope.copy()
+    h.update(sig_repr)
+    return f"replay-{h.hexdigest()[:12]}"
 
 
 @dataclass
@@ -159,16 +171,21 @@ def build_replay_plan(phases: Sequence[Phase],
     Dedup key: ``(phase_signature, factory fingerprint)`` -- one job per
     unique pair, shared across configurations whose clusters the
     simulation cannot distinguish.  Fingerprint-less factories dedupe
-    within their own configuration only.
+    within their own configuration only.  Each configuration's
+    fingerprint (memoized per factory) is serialized into its job-name
+    scope once, not once per phase; the plan itself builds no cluster
+    once the factory's fingerprint is known.
     """
     phases = tuple(phases)
+    sig_reprs = [repr(phase_signature(ph)).encode() for ph in phases]
     jobs: dict[str, ReplayJob] = {}
     requests = 0
     for config_name, factory in factories.items():
-        fp = simcache.factory_fingerprint(factory)
+        scope = _job_scope(config_name,
+                           simcache.factory_fingerprint(factory))
         for idx, ph in enumerate(phases):
             requests += 1
-            name = _job_name(config_name, phase_signature(ph), fp)
+            name = _job_name(scope, sig_reprs[idx])
             job = jobs.get(name)
             if job is None:
                 job = jobs[name] = ReplayJob(name=name, phase=ph,

@@ -20,12 +20,15 @@ A collective verb's op names a module-level finalizer (``_barrier``,
 ``_allreduce``, ...).  The engine calls the lowest member's once every
 member has arrived, as ``finalize(engine, start, ranks, ops)`` with the
 sorted member ranks and ``{rank: op}``; it reads the call's arguments
-(``nbytes``, ``root``, the reduction ``op``) from the lowest member's
-op and returns ``({rank: duration}, {rank: result})``.
+(``nbytes``, ``root``, the reduction ``op``, the ``comm``) from the
+lowest member's op and returns ``({rank: duration}, {rank: result})``.
+Values are combined, gathered and scattered in communicator-rank order
+(``comm.world_ranks``), as MPI does; roots are world ranks.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Generator, Sequence
 
 from .engine import Comm, Engine
@@ -60,14 +63,15 @@ def _bcast(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
 
 def _allreduce(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
     first = ops[ranks[0]]
-    result = first["op"]([ops[r]["payload"] for r in ranks])
+    result = first["op"]([ops[r]["payload"]
+                          for r in first["comm"].world_ranks])
     return _uniform(engine, t0, ranks, first["nbytes"], "allreduce", result)
 
 
 def _gather(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
     first = ops[ranks[0]]
     root = first["root"]
-    values = [ops[r]["payload"] for r in ranks]
+    values = [ops[r]["payload"] for r in first["comm"].world_ranks]
     n = len(ranks)
     dur = engine.platform.comm_time(first["nbytes"] * n, n, "gather", t0)
     return (dict.fromkeys(ranks, dur),
@@ -76,7 +80,8 @@ def _gather(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
 
 def _reduce(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
     first, root = _rooted(ops, ranks, "reduce")
-    result = first["op"]([ops[r]["payload"] for r in ranks])
+    result = first["op"]([ops[r]["payload"]
+                          for r in first["comm"].world_ranks])
     dur = engine.platform.comm_time(first["nbytes"], len(ranks), "reduce", t0)
     return (dict.fromkeys(ranks, dur),
             {r: (result if r == root else None) for r in ranks})
@@ -89,14 +94,15 @@ def _scatter(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
     if vals is None or len(vals) != n:
         raise MPIUsageError(f"scatter needs exactly {n} values on the root")
     dur = engine.platform.comm_time(first["nbytes"] * n, n, "gather", t0)
-    return dict.fromkeys(ranks, dur), dict(zip(ranks, vals))
+    return dict.fromkeys(ranks, dur), dict(zip(first["comm"].world_ranks,
+                                               vals))
 
 
 def _allgather(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
-    values = [ops[r]["payload"] for r in ranks]
+    first = ops[ranks[0]]
+    values = [ops[r]["payload"] for r in first["comm"].world_ranks]
     n = len(ranks)
-    dur = engine.platform.comm_time(ops[ranks[0]]["nbytes"] * n, n,
-                                    "alltoall", t0)
+    dur = engine.platform.comm_time(first["nbytes"] * n, n, "alltoall", t0)
     return dict.fromkeys(ranks, dur), {r: list(values) for r in ranks}
 
 
@@ -106,11 +112,14 @@ def _alltoall(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
 
 
 def _split(engine: Engine, t0: float, ranks: Sequence[int], ops: dict):
+    # Visit the members in parent-communicator order: a missing key is
+    # the parent rank, and the stable sort breaks key ties by it.
     groups: dict[int, list[tuple[int, int]]] = {}
-    for r in ranks:
+    for i, r in enumerate(ops[ranks[0]]["comm"].world_ranks):
         c, k = ops[r]["payload"]
-        groups.setdefault(c, []).append((k, r))
-    comms = {c: Comm([r for _, r in sorted(members)], name=f"split-{c}")
+        groups.setdefault(c, []).append((i if k is None else k, r))
+    comms = {c: Comm([r for _, r in sorted(members, key=itemgetter(0))],
+                     name=f"split-{c}")
              for c, members in groups.items()}
     dur = engine.platform.comm_time(8, len(ranks), "split", t0)
     return (dict.fromkeys(ranks, dur),
@@ -234,11 +243,14 @@ class RankContext:
 
     def split(self, color: int, key: int | None = None,
               comm: Comm | None = None) -> Generator:
-        """Split a communicator by ``color`` (like ``MPI_Comm_split``)."""
-        me = key if key is not None else self._rank
+        """Split a communicator by ``color`` (like ``MPI_Comm_split``).
+
+        Members are ordered by ``key``, then by their rank in ``comm``;
+        the default key is that rank.
+        """
         return (yield {"kind": "collective", "name": "split",
                        "comm": comm or self._engine.world,
-                       "payload": (color, me), "finalize": _split})
+                       "payload": (color, key), "finalize": _split})
 
     # -- point-to-point --------------------------------------------------------------
     def send(self, peer: int, nbytes: int, tag: int = 0,

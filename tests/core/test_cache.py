@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro import obs
+from repro import faults, obs, store
 from repro.apps.ior import IORParams, run_ior
 from repro.apps.iozone import IOzoneParams, run_iozone
 from repro.clusters import configuration_a, configuration_b
 from repro.core import cache as simcache
+from repro.core.estimate import estimate_phase
+from repro.core.lattice import ConfigSpace, LatticeParams, _factory_rows
+from repro.faults import FAIL_SLOW, FaultPlan, FaultSpec
 
 from tests.conftest import make_nfs_cluster, make_pvfs_cluster
+from tests.core.test_planner import make_phase
 
 MB = 1024 * 1024
 
@@ -38,6 +44,13 @@ class TestFingerprints:
         fp1 = simcache.factory_fingerprint(configuration_a)
         fp2 = simcache.factory_fingerprint(configuration_a)
         assert fp1 == fp2 == configuration_a().fingerprint()
+
+    def test_unreferenceable_factory_goes_unmemoized(self):
+        factory = configuration_a.__call__  # a method-wrapper: no weakref
+        before = len(simcache._factory_fps)
+        assert (simcache.factory_fingerprint(factory)
+                == configuration_a().fingerprint())
+        assert len(simcache._factory_fps) == before
 
     def test_platform_without_fingerprint_opts_out(self):
         class Bare:
@@ -120,3 +133,70 @@ class TestSteadyStateClosure:
         for key, bw_slow in slow.grid.items():
             bw_fast = fast.grid[key]
             assert bw_fast == pytest.approx(bw_slow, rel=1e-9), key
+
+
+class TestFactoryMemosReleaseFactories:
+    def test_dropped_factories_leave_no_entry(self):
+        space = ConfigSpace(raid_levels=("raid0",), members=(3, 4),
+                            stripe_kb=(64,), net_mb_s=(800.0,),
+                            ions=(1, 2), disk_mb_s=((90.0, 100.0),))
+        fps0, rows0 = len(simcache._factory_fps), len(_factory_rows)
+        for _ in range(3):
+            factories = space.factories()
+            for f in factories.values():
+                simcache.factory_fingerprint(f)
+            LatticeParams.from_factories(factories)
+            assert len(simcache._factory_fps) == fps0 + len(factories)
+            assert len(_factory_rows) == rows0 + len(factories)
+            del factories, f
+            gc.collect()
+            assert len(simcache._factory_fps) == fps0
+            assert len(_factory_rows) == rows0
+
+
+#: np 4, 16 MB writes per rank on configuration A, every member disk
+#: ten times slower: the faulted bandwidth is an order of magnitude off.
+FAULT_PARAMS = IORParams(np=4, block_size=16 * MB, transfer_size=MB,
+                         kinds=("write",))
+
+
+def _all_disks_slow() -> FaultPlan:
+    disks = configuration_a().globalfs.ions[0].fs.volume.disks
+    return FaultPlan([FaultSpec(FAIL_SLOW, d.name, slow_factor=10.0)
+                      for d in disks])
+
+
+def _write_bw() -> float:
+    return run_ior(configuration_a(), FAULT_PARAMS).bw("write")
+
+
+class TestFaultPlanBypassesMemo:
+    """A fingerprint carries no fault state: while a plan is installed
+    the memo neither serves nor keeps an entry."""
+
+    def test_faulted_run_leaves_no_entry(self):
+        with faults.injected(_all_disks_slow()):
+            faulted = _write_bw()
+        healthy = _write_bw()
+        simcache.clear_all()
+        assert healthy == _write_bw()
+        assert faulted < healthy / 5
+
+    def test_healthy_entry_does_not_mask_the_plan(self):
+        healthy = _write_bw()
+        with faults.injected(_all_disks_slow()):
+            faulted = _write_bw()
+        simcache.clear_all()
+        with faults.injected(_all_disks_slow()):
+            assert faulted == _write_bw()
+        assert faulted < healthy / 5
+
+    def test_nothing_reaches_the_store(self, tmp_path):
+        rs = store.attach(tmp_path)
+        with faults.injected(_all_disks_slow()):
+            _write_bw()
+            estimate_phase(make_phase(0), configuration_a)
+            assert simcache.stats()["ior"]["entries"] == 0
+        assert rs.stats() == {}
+        _write_bw()  # healthy again: the write-through resumes
+        assert rs.stats()["ior"]["entries"] == 1

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.clusters import ALL_CONFIGURATIONS
 from repro.core import cache as simcache
 from repro.core.estimate import estimate_model, select_configuration
 from repro.core.executors import SerialExecutor
@@ -18,6 +19,7 @@ from repro.core.planner import (
     phase_signature,
 )
 from repro.core.sweep import JobFailure, SweepJobError
+from repro.iosim import Cluster
 
 from tests.conftest import make_nfs_cluster, make_pvfs_cluster
 
@@ -161,3 +163,93 @@ class TestSelectConfiguration:
         assert len(calls) == 2
         assert set(choice.total_times) == {"a", "b", "p"}
         assert choice.total_times["a"] == choice.total_times["b"]
+
+
+def bare():
+    return SimpleNamespace()  # no fingerprint(): scoped by config name
+
+
+#: Job names of a fixed plan over the paper configurations plus one
+#: fingerprint-less factory.  Names are ``sweep_map`` checkpoint names:
+#: a changed name strands every checkpoint written before it.
+PINNED_JOB_NAMES = {
+    "configuration-A": ["replay-da772cf79e94", "replay-f2e9c1a08586",
+                        "replay-fe46f178b38f"],
+    "configuration-B": ["replay-093cef981bd6", "replay-5440512db331",
+                        "replay-c58f8c7deccb"],
+    "configuration-C": ["replay-3fd155565ec3", "replay-68af51e0e9bf",
+                        "replay-ddc2713ab050"],
+    "finisterrae": ["replay-04af654a1387", "replay-74566faebd56",
+                    "replay-ef3026c76d14"],
+    "bare": ["replay-38b3b8a7aae0", "replay-4796ebfdeb05",
+             "replay-4cdce7d9fdab"],
+}
+
+
+def three_phases():
+    return [make_phase(1), make_phase(2, rs=4 * MB),
+            make_phase(3, op="read_at")]
+
+
+def test_job_names_are_pinned():
+    plan = build_replay_plan(three_phases(),
+                             {**ALL_CONFIGURATIONS, "bare": bare})
+    names: dict[str, list[str]] = {}
+    for name, job in plan.jobs.items():
+        for config_name, _ in job.consumers:
+            names.setdefault(config_name, []).append(name)
+    assert {c: sorted(v) for c, v in names.items()} == PINNED_JOB_NAMES
+
+
+class TestWarmWorkCounts:
+    """A warm repeat of a selection is memo lookups only: it builds no
+    cluster, fingerprints none, and serializes each configuration's
+    fingerprint into its job-name scope once, not once per phase."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"factory": 0, "fingerprint": 0, "repr": 0}
+
+        class CountedRepr(tuple):
+            def __repr__(self):
+                counts["repr"] += 1
+                return tuple.__repr__(self)
+
+        real = Cluster.fingerprint
+
+        def fingerprint(self):
+            counts["fingerprint"] += 1
+            return CountedRepr(real(self))
+
+        monkeypatch.setattr(Cluster, "fingerprint", fingerprint)
+        return counts
+
+    @staticmethod
+    def counted_factories(counts):
+        # Fresh callables: the per-factory memos start cold for them.
+        def counted(factory):
+            def build():
+                counts["factory"] += 1
+                return factory()
+            return build
+
+        return {name: counted(f) for name, f in ALL_CONFIGURATIONS.items()}
+
+    def test_warm_select_builds_and_fingerprints_nothing(self, counts):
+        factories = self.counted_factories(counts)
+        cold = select_configuration(three_phases(), factories)
+        assert counts["factory"] > len(factories)  # replays ran
+        counts.update(dict.fromkeys(counts, 0))
+        warm = select_configuration(three_phases(), factories)
+        assert warm == cold
+        assert counts["factory"] == counts["fingerprint"] == 0
+        assert 0 < counts["repr"] <= len(factories)
+
+    def test_warm_lattice_select_builds_nothing(self, counts):
+        factories = self.counted_factories(counts)
+        cold = select_configuration(three_phases(), factories, lattice=True)
+        assert counts["factory"] == len(factories)
+        counts.update(dict.fromkeys(counts, 0))
+        warm = select_configuration(three_phases(), factories, lattice=True)
+        assert warm == cold
+        assert counts == {"factory": 0, "fingerprint": 0, "repr": 0}

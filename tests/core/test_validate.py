@@ -6,7 +6,9 @@ import pytest
 
 from repro.apps.madbench2 import MADbench2Params, madbench2_program
 from repro.apps.btio import BTIOParams, btio_program
+from repro.apps.roms import ROMSParams, roms_program
 from repro.core.model import IOModel
+from repro.core.pipeline import characterize_app
 from repro.core.validate import audit, validate_model
 from repro.tracer import trace_run
 
@@ -75,6 +77,37 @@ class TestDetection:
                          metadata=model.metadata, phases=model.phases[:-1])
         with pytest.raises(ValueError):
             audit(broken, bundle, raise_on_error=True)
+
+
+#: The paper apps at the scale of the end-to-end studies: MADbench2 and
+#: ROMS-like at np 16, BT-IO class D at np 16 (Tables VIII-XII).
+PAPER_APPS = {
+    "madbench2": (madbench2_program, MADbench2Params()),
+    "btio-D": (btio_program, BTIOParams(cls="D", comm_events_per_step=24)),
+    "roms": (roms_program, ROMSParams()),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PAPER_APPS))
+def paper_app(request):
+    program, params = PAPER_APPS[request.param]
+    return characterize_app(program, 16, params, app_name=request.param)
+
+
+class TestPaperApps:
+    """The models the selection studies replay account for every byte,
+    operation and initial offset of their traces."""
+
+    def test_model_validates_with_no_finding(self, paper_app):
+        model, bundle = paper_app
+        assert validate_model(model, bundle).findings == []
+
+    def test_dropped_phase_breaks_byte_coverage(self, paper_app):
+        model, bundle = paper_app
+        broken = IOModel(app_name=model.app_name, np=model.np,
+                         metadata=model.metadata, phases=model.phases[:-1])
+        errors = validate_model(broken, bundle).errors()
+        assert any("bytes" in f.message for f in errors)
 
 
 def replace_phase(ph, **kw):

@@ -64,6 +64,74 @@ class TestAllgather:
         assert all(v == [0, 10, 20, 30] for v in got.values())
 
 
+class TestCommunicatorOrder:
+    """A split communicator orders its members by key; every collective
+    on it takes and hands out values in that (communicator-rank) order."""
+
+    @staticmethod
+    def reversed_world(verb):
+        got = {}
+
+        def program(ctx):
+            sub = yield from ctx.split(color=0, key=-ctx.rank)
+            got[ctx.rank] = (sub.rank(ctx.rank),
+                             (yield from verb(ctx, sub)))
+
+        run(program)
+        return got
+
+    def test_split_orders_by_key(self):
+        got = self.reversed_world(lambda ctx, sub: ctx.barrier(sub))
+        assert {r: comm_rank for r, (comm_rank, _) in got.items()} == \
+            {0: 3, 1: 2, 2: 1, 3: 0}
+
+    def test_allgather_in_comm_rank_order(self):
+        got = self.reversed_world(
+            lambda ctx, sub: ctx.allgather(ctx.rank, comm=sub))
+        assert all(v == [3, 2, 1, 0] for _, v in got.values())
+
+    def test_gather_in_comm_rank_order(self):
+        got = self.reversed_world(
+            lambda ctx, sub: ctx.gather(ctx.rank, root=0, comm=sub))
+        assert got[0][1] == [3, 2, 1, 0]
+        assert got[1][1] is got[2][1] is got[3][1] is None
+
+    def test_scatter_by_comm_rank(self):
+        got = self.reversed_world(lambda ctx, sub: ctx.scatter(
+            ["a", "b", "c", "d"] if ctx.rank == 0 else None, root=0,
+            comm=sub))
+        assert {r: v for r, (_, v) in got.items()} == \
+            {3: "a", 2: "b", 1: "c", 0: "d"}
+
+    def test_reduce_in_comm_rank_order(self):
+        got = self.reversed_world(lambda ctx, sub: ctx.allreduce(
+            str(ctx.rank), op="".join, comm=sub))
+        assert all(v == "3210" for _, v in got.values())
+
+    def test_default_key_and_ties_follow_the_parent_rank(self):
+        got = {}
+
+        def program(ctx):
+            parent = yield from ctx.split(color=0, key=-ctx.rank)
+            # parent ranks: world 3 -> 0, 2 -> 1, 1 -> 2, 0 -> 3
+            by_default = yield from ctx.split(color=0, comm=parent)
+            tied = yield from ctx.split(color=0, key=7, comm=parent)
+            got[ctx.rank] = (by_default.world_ranks, tied.world_ranks)
+
+        run(program)
+        assert all(v == ((3, 2, 1, 0), (3, 2, 1, 0)) for v in got.values())
+
+    def test_world_split_without_key_keeps_world_order(self):
+        got = {}
+
+        def program(ctx):
+            sub = yield from ctx.split(color=ctx.rank % 2)
+            got[ctx.rank] = (yield from ctx.allgather(ctx.rank, comm=sub))
+
+        run(program)
+        assert got == {0: [0, 2], 1: [1, 3], 2: [0, 2], 3: [1, 3]}
+
+
 class TestSendrecv:
     def test_ring_exchange_even(self):
         got = {}
